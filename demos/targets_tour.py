@@ -3,8 +3,8 @@
 Runs a handful of small oriented graphs against every named target in
 both injective modes and reports the algorithm that settled each case.
 The pattern that emerges is the complexity split: T1, T2, C3, T3 and the
-reflexive T1r, T2r are decided by special-purpose routines, while the
-reflexive triangle, T3r and the U family fall back to search.
+reflexive T1r, T2r are decided in polynomial time, while the reflexive
+triangle, T3r and the U family fall back to search.
 """
 
 from injhom import (

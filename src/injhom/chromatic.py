@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .graphs import Mode, OrientedGraph, is_tournament
 from .reductions import canonical_flavour
-from .solver import solve
+from .solver import enumerate_homs, solve
 
 TOURNAMENT_CAP = 6
 
@@ -111,14 +111,8 @@ def check_Um_forcing(g: OrientedGraph, um_vertices, t: OrientedGraph, mode: Mode
     injective on um_vertices.  Used to confirm that a wrapped colouring
     instance really pins its embedded canonical tournament."""
     um_vertices = tuple(um_vertices)
-    for hom in _all_homs(g, t, mode):
+    for hom in enumerate_homs(g, t, mode):
         images = [hom[v] for v in um_vertices]
         if len(set(images)) != len(images):
             return False
     return True
-
-
-def _all_homs(g, t, mode):
-    from .solver import enumerate_homs
-
-    yield from enumerate_homs(g, t, mode)

@@ -6,22 +6,17 @@ Everything else -- the reflexive triangle, T3r, the whole U family and
 custom targets -- is where the problems turn NP-complete, and decide_poly
 reports those as not covered (None) instead of silently guessing.
 
-Every yes answer carries a reconstructed witness.
+T2r under ios is a 2-SAT problem.  Every other covered pair follows one
+rule: an input vertex of underlying degree three is a no, and a transfer
+DP along the remaining paths and cycles decides the rest.  Every yes
+answer carries a reconstructed witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    Mode,
-    OrientedGraph,
-    ShapeKind,
-    component_shapes,
-    degrees,
-    find_hats,
-    max_degrees,
-)
+from .graphs import Mode, OrientedGraph, degrees, find_hats, max_degrees
 from .solver import Homomorphism
 from .targets import TargetSpec, build_named
 from .twosat import TwoSatInstance, solve_2sat
@@ -34,92 +29,14 @@ class PolyVerdict:
     algorithm: str
 
 
-_TINY_KINDS = (ShapeKind.ISOLATED_VERTEX, ShapeKind.SINGLE_ARC)
-
-
 def _check_irreflexive(g: OrientedGraph) -> None:
     if g.reflexive:
         raise ValueError("polynomial deciders take irreflexive inputs")
 
 
-def decide_T1_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
-    """Maps to the single loopless vertex exist iff g has no arcs."""
-    _check_irreflexive(g)
-    if g.arcs:
-        return PolyVerdict(False, None, "edgeless-check")
-    return PolyVerdict(True, Homomorphism((0,) * g.n, mode), "edgeless-check")
-
-
-def decide_T2_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
-    """Against the loopless single arc: every component must be an
-    isolated vertex or a single arc."""
-    _check_irreflexive(g)
-    assignment = [0] * g.n
-    for shape in component_shapes(g):
-        if shape.kind not in _TINY_KINDS:
-            return PolyVerdict(False, None, "tiny-components")
-        if shape.kind is ShapeKind.SINGLE_ARC:
-            u, v = shape.vertices
-            if not g.has_arc(u, v):
-                u, v = v, u
-            assignment[u], assignment[v] = 0, 1
-    return PolyVerdict(True, Homomorphism(tuple(assignment), mode), "tiny-components")
-
-
-def decide_C3_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
-    """Against the loopless directed triangle: in- and out-degrees at most
-    one (so components are directed paths and cycles) and every directed
-    cycle's length divisible by three."""
-    _check_irreflexive(g)
-    din, dout = max_degrees(g)
-    if din > 1 or dout > 1:
-        return PolyVerdict(False, None, "path-cycle-mod3")
-    assignment = [0] * g.n
-    for shape in component_shapes(g):
-        if shape.kind is ShapeKind.DIRECTED_CYCLE and shape.cycle_length % 3 != 0:
-            return PolyVerdict(False, None, "path-cycle-mod3")
-        walk = _directed_walk(g, shape)
-        for i, v in enumerate(walk):
-            assignment[v] = i % 3
-    return PolyVerdict(True, Homomorphism(tuple(assignment), mode), "path-cycle-mod3")
-
-
-def _directed_walk(g: OrientedGraph, shape) -> list:
-    """Vertices of a directed path/cycle component in arc order."""
-    if shape.kind is ShapeKind.ISOLATED_VERTEX:
-        return list(shape.vertices)
-    if shape.kind is ShapeKind.DIRECTED_CYCLE:
-        start = shape.vertices[0]
-    else:
-        (start,) = [v for v in shape.vertices if g.in_degree(v) == 0]
-    walk = [start]
-    cur = start
-    while g.out_nbrs[cur]:
-        cur = g.out_nbrs[cur][0]
-        if cur == start:
-            break
-        walk.append(cur)
-    return walk
-
-
-def decide_T1r_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
-    """Against the single looped vertex: neighbourhoods must be too small
-    to collide, i.e. all in- and out-degrees at most one."""
-    _check_irreflexive(g)
-    din, dout = max_degrees(g)
-    if din > 1 or dout > 1:
-        return PolyVerdict(False, None, "degree-one-check")
-    return PolyVerdict(True, Homomorphism((0,) * g.n, mode), "degree-one-check")
-
-
-def decide_T1r_iot(g: OrientedGraph, mode: Mode = Mode.IOT) -> PolyVerdict:
-    """Against the single looped vertex with whole-neighbourhood
-    injectivity: components must be isolated vertices or single arcs."""
-    _check_irreflexive(g)
-    ok = all(shape.kind in _TINY_KINDS for shape in component_shapes(g))
-    if not ok:
-        return PolyVerdict(False, None, "tiny-components")
-    return PolyVerdict(True, Homomorphism((0,) * g.n, mode), "tiny-components")
+def _branches(g: OrientedGraph) -> bool:
+    """Has g a vertex of underlying degree three or more?"""
+    return any(len(nbrs) > 2 for nbrs in g.underlying_nbrs)
 
 
 def build_2sat_T2r_ios(g: OrientedGraph) -> TwoSatInstance:
@@ -163,27 +80,6 @@ def decide_T2r_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
     return PolyVerdict(True, Homomorphism(image, mode), "two-sat")
 
 
-def decide_T3_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
-    """Against the loopless transitive triangle.  A vertex of underlying
-    degree three can never fit (its neighbour images would need more in-
-    or out-room than T3 has), so only degree-<=2 inputs remain and the
-    transfer DP finishes those."""
-    _check_irreflexive(g)
-    if any(len(g.underlying_nbrs[v]) > 2 for v in range(g.n)):
-        return PolyVerdict(False, None, "degree2-dp")
-    return decide_degree2_dp(g, "T3", mode)
-
-
-def decide_T2r_iot(g: OrientedGraph, mode: Mode = Mode.IOT) -> PolyVerdict:
-    """Against the reflexive single arc with whole-neighbourhood
-    injectivity: underlying degree three forces three distinct images
-    into a two-vertex target, so answer no; otherwise run the DP."""
-    _check_irreflexive(g)
-    if any(len(g.underlying_nbrs[v]) > 2 for v in range(g.n)):
-        return PolyVerdict(False, None, "degree2-dp")
-    return decide_degree2_dp(g, "T2r", mode)
-
-
 # --- transfer DP over components of underlying degree <= 2 ---
 
 
@@ -193,56 +89,69 @@ def _resolve_target(target) -> OrientedGraph:
     return build_named(target)
 
 
-def _arc_ok(g, h, x, y, a, b) -> bool:
-    """May x, y (adjacent in g) take images a, b?"""
-    tail, head = (a, b) if g.has_arc(x, y) else (b, a)
-    if tail == head:
-        return h.reflexive
-    return h.has_arc(tail, head)
+def _tables(h: OrientedGraph) -> tuple:
+    """The DP's state tables for target h.  A state a * h.n + b says that
+    two consecutive walk vertices take images a, b.
 
+    arcs[f] lists the states an arc allows, walked forwards (f true:
+    a -> b) or backwards.  moves[f, d][s] lists, in increasing order, the
+    states (b, c) one walk step on from s = (a, b) along such an arc; d
+    says that the middle vertex's two neighbours must take distinct
+    images, so c != a.
+    """
+    n = h.n
 
-def _must_differ(g, x, p, q, mode: Mode) -> bool:
-    """Do p and q, the two neighbours of x, need distinct images?"""
-    if mode is Mode.IOT:
-        return True
-    if mode is Mode.PLAIN:
-        return False
-    both_in = g.has_arc(p, x) and g.has_arc(q, x)
-    both_out = g.has_arc(x, p) and g.has_arc(x, q)
-    return both_in or both_out
+    def ok(forward, a, b):
+        if a == b:
+            return h.reflexive
+        return ((a, b) if forward else (b, a)) in h.arcs
+
+    arcs = {f: [a * n + b for a in range(n) for b in range(n) if ok(f, a, b)] for f in (True, False)}
+    moves = {
+        (f, d): tuple(
+            tuple(b * n + c for c in range(n) if ok(f, b, c) and not (d and c == a))
+            for a in range(n) for b in range(n))
+        for f in (True, False) for d in (True, False)
+    }
+    return arcs, moves
 
 
 def _component_orders(g: OrientedGraph):
-    """Each weak component as (is_cycle, vertex walk along the underlying
-    path or cycle); assumes underlying degree <= 2."""
-    for shape in component_shapes(g):
-        verts = shape.vertices
-        if shape.kind is ShapeKind.OTHER:
-            raise ValueError("underlying degree exceeds 2")
-        if len(verts) == 1:
-            yield False, list(verts)
+    """Each weak component with an arc as (is_cycle, vertex walk along
+    the underlying path or cycle); assumes underlying degree <= 2.  A path
+    is walked from its lower end, a cycle from its lowest vertex towards
+    that vertex's lower neighbour."""
+    nbrs = g.underlying_nbrs
+    seen = [False] * g.n
+    for v in range(g.n):
+        if seen[v] or not nbrs[v]:
             continue
-        is_cycle = shape.cycle_length is not None
+        ahead = _walk_away(nbrs, v, nbrs[v][0])
+        is_cycle = len(nbrs[ahead[-1]]) == 2  # the walk came back round to v
         if is_cycle:
-            start = verts[0]
-            prev = None
+            order = [v] + ahead
         else:
-            start = min(v for v in verts if len(g.underlying_nbrs[v]) == 1)
-            prev = None
-        order = [start]
-        cur = start
-        while True:
-            nxt = [w for w in g.underlying_nbrs[cur] if w != prev]
-            if not nxt:
-                break
-            step = min(nxt)
-            if is_cycle and step == start:
-                break
-            prev, cur = cur, step
-            order.append(cur)
-            if len(order) == len(verts):
-                break
+            behind = _walk_away(nbrs, v, nbrs[v][1]) if len(nbrs[v]) == 2 else []
+            order = behind[::-1] + [v] + ahead
+            if order[-1] < order[0]:
+                order.reverse()
+        for w in order:
+            seen[w] = True
         yield is_cycle, order
+
+
+def _walk_away(nbrs, start, cur) -> list:
+    """The vertices from cur on, stepping away from start, up to a path
+    end or back round to start (not included)."""
+    walk = []
+    prev = start
+    while cur != start:
+        walk.append(cur)
+        ends = nbrs[cur]
+        if len(ends) == 1:
+            break
+        prev, cur = cur, ends[1] if ends[0] == prev else ends[0]
+    return walk
 
 
 def decide_degree2_dp(g: OrientedGraph, target, mode: Mode) -> PolyVerdict:
@@ -255,110 +164,114 @@ def decide_degree2_dp(g: OrientedGraph, target, mode: Mode) -> PolyVerdict:
     degree-3 vertex are rejected as invalid.
     """
     _check_irreflexive(g)
-    if any(len(g.underlying_nbrs[v]) > 2 for v in range(g.n)):
+    if _branches(g):
         raise ValueError("underlying degree exceeds 2")
-    h = _resolve_target(target)
-    assignment = [0] * g.n
+    return _degree2_verdict(g, _resolve_target(target), mode, "degree2-dp")
+
+
+def _degree2_verdict(g, h, mode, algorithm) -> PolyVerdict:
+    images = _walk_images(g, h, mode)
+    if images is None:
+        return PolyVerdict(False, None, algorithm)
+    return PolyVerdict(True, Homomorphism(tuple(images), mode), algorithm)
+
+
+def _walk_images(g, h, mode):
+    """An image per vertex of g, or None when no mode-injective map to h
+    exists; g has underlying degree <= 2."""
     if g.n and h.n == 0:
-        return PolyVerdict(False, None, "degree2-dp")
+        return None
+    arcs, table = _tables(h)
+    assignment = [0] * g.n
     for is_cycle, order in _component_orders(g):
-        images = _dp_cycle(g, h, order, mode) if is_cycle else _dp_path(g, h, order, mode)
-        if images is None:
-            return PolyVerdict(False, None, "degree2-dp")
-        for v, a in zip(order, images):
-            assignment[v] = a
-    return PolyVerdict(True, Homomorphism(tuple(assignment), mode), "degree2-dp")
+        ends = order[1:] + order[:1] if is_cycle else order[1:]
+        forwards = [(u, v) in g.arcs for u, v in zip(order, ends)]
+        # differ[i]: must walk vertex i's two neighbours take distinct
+        # images?  Under ios only where the walk turns (both arcs point
+        # into or both out of the vertex); differ[0] matters for cycles only
+        if mode is Mode.IOT:
+            differ = [True] * len(forwards)
+        elif mode is Mode.IOS:
+            differ = [forwards[i - 1] != forwards[i] for i in range(len(forwards))]
+        else:
+            differ = [False] * len(forwards)
+        # moves[i] steps from the images of walk vertices i-1, i to i, i+1
+        moves = [table[f, d] for f, d in zip(forwards, differ)]
+        first = arcs[forwards[0]]
+        states = _dp_cycle(h.n, first, moves) if is_cycle else _dp_path(first, moves)
+        if states is None:
+            return None
+        assignment[order[0]] = states[0] // h.n
+        for v, s in zip(order[1:], states):
+            assignment[v] = s % h.n
+    return assignment
 
 
-def _dp_path(g, h, order, mode):
-    k = len(order)
-    if k == 1:
-        return [0]
-    first = {}
-    for a in range(h.n):
-        for b in range(h.n):
-            if _arc_ok(g, h, order[0], order[1], a, b):
-                first[(a, b)] = None
+def _layers(first, moves):
+    """Extend the state layer first by one walk vertex per move: each
+    later layer maps its states to the state before.  None when some
+    layer is empty."""
     layers = [first]
-    for i in range(2, k):
+    for move in moves:
         if not layers[-1]:
             return None
-        need_diff = _must_differ(g, order[i - 1], order[i - 2], order[i], mode)
         cur = {}
-        for (a, b) in layers[-1]:
-            for c in range(h.n):
-                if need_diff and a == c:
-                    continue
-                if _arc_ok(g, h, order[i - 1], order[i], b, c) and (b, c) not in cur:
-                    cur[(b, c)] = (a, b)
+        for s in layers[-1]:
+            for t in move[s]:
+                if t not in cur:
+                    cur[t] = s
         layers.append(cur)
-    if not layers[-1]:
+    return layers if layers[-1] else None
+
+
+def _trace_back(layers, s) -> list:
+    states = [s]
+    for layer in reversed(layers[1:]):
+        s = layer[s]
+        states.append(s)
+    return states[::-1]
+
+
+def _dp_path(first, moves):
+    layers = _layers(dict.fromkeys(first), moves[1:])
+    if layers is None:
         return None
-    state = min(layers[-1])
-    rev = [state[1], state[0]]
-    for j in range(len(layers) - 1, 0, -1):
-        state = layers[j][state]
-        rev.append(state[0])
-    return rev[::-1]
+    return _trace_back(layers, min(layers[-1]))
 
 
-def _dp_cycle(g, h, order, mode):
-    k = len(order)
-    for a0 in range(h.n):
-        for a1 in range(h.n):
-            if not _arc_ok(g, h, order[0], order[1], a0, a1):
-                continue
-            layers = [{(a0, a1): None}]
-            dead = False
-            for i in range(2, k):
-                need_diff = _must_differ(g, order[i - 1], order[i - 2], order[i], mode)
-                cur = {}
-                for (a, b) in layers[-1]:
-                    for c in range(h.n):
-                        if need_diff and a == c:
-                            continue
-                        if _arc_ok(g, h, order[i - 1], order[i], b, c) and (b, c) not in cur:
-                            cur[(b, c)] = (a, b)
-                if not cur:
-                    dead = True
-                    break
-                layers.append(cur)
-            if dead:
-                continue
-            close_last = _must_differ(g, order[k - 1], order[k - 2], order[0], mode)
-            close_first = _must_differ(g, order[0], order[k - 1], order[1], mode)
-            for state in sorted(layers[-1]):
-                b, c = state
-                if not _arc_ok(g, h, order[k - 1], order[0], c, a0):
-                    continue
-                if close_last and b == a0:
-                    continue
-                if close_first and c == a1:
-                    continue
-                rev = [c, b]
-                st = state
-                for j in range(len(layers) - 1, 0, -1):
-                    st = layers[j][st]
-                    rev.append(st[0])
-                return rev[::-1]
+def _dp_cycle(n, first, moves):
+    for s0 in first:
+        layers = _layers({s0: None}, moves[1:-1])
+        if layers is None:
+            continue
+        a0 = s0 // n
+        for s in sorted(layers[-1]):
+            closing = s % n * n + a0
+            if closing in moves[-1][s] and s0 in moves[0][closing]:
+                return _trace_back(layers, s)
     return None
 
 
 # --- dispatch ---
 
-_POLY_TABLE = {
-    ("T1", Mode.IOS): decide_T1_ios,
-    ("T1", Mode.IOT): decide_T1_ios,
-    ("T2", Mode.IOS): decide_T2_ios,
-    ("T2", Mode.IOT): decide_T2_ios,
-    ("C3", Mode.IOS): decide_C3_ios,
-    ("C3", Mode.IOT): decide_C3_ios,
-    ("T3", Mode.IOS): decide_T3_ios,
-    ("T3", Mode.IOT): decide_T3_ios,
-    ("T1r", Mode.IOS): decide_T1r_ios,
-    ("T1r", Mode.IOT): decide_T1r_iot,
-    ("T2r", Mode.IOS): decide_T2r_ios,
-    ("T2r", Mode.IOT): decide_T2r_iot,
+# Algorithm label of each tractable (target, mode) pair other than T2r
+# under ios.  Each of these targets leaves an input vertex room for at
+# most two neighbours: the mode maps its in- and its out-neighbours
+# injectively (under iot, all its neighbours) into those of its image, and
+# no image has more than two in all.  So underlying degree three is a no,
+# and the transfer DP settles the paths and cycles left.
+_LABELS = {
+    ("T1", Mode.IOS): "edgeless-check",
+    ("T1", Mode.IOT): "edgeless-check",
+    ("T2", Mode.IOS): "tiny-components",
+    ("T2", Mode.IOT): "tiny-components",
+    ("C3", Mode.IOS): "path-cycle-mod3",
+    ("C3", Mode.IOT): "path-cycle-mod3",
+    ("T3", Mode.IOS): "degree2-dp",
+    ("T3", Mode.IOT): "degree2-dp",
+    ("T1r", Mode.IOS): "degree-one-check",
+    ("T1r", Mode.IOT): "tiny-components",
+    ("T2r", Mode.IOT): "degree2-dp",
 }
 
 
@@ -370,7 +283,12 @@ def decide_poly(g: OrientedGraph, target, mode: Mode):
         spec = TargetSpec.from_graph(spec)
     if spec.custom is not None or spec.name is None:
         return None
-    fn = _POLY_TABLE.get((spec.name, mode))
-    if fn is None:
+    if (spec.name, mode) == ("T2r", Mode.IOS):
+        return decide_T2r_ios(g, mode)
+    label = _LABELS.get((spec.name, mode))
+    if label is None:
         return None
-    return fn(g, mode)
+    _check_irreflexive(g)
+    if _branches(g):
+        return PolyVerdict(False, None, label)
+    return _degree2_verdict(g, build_named(spec), mode, label)

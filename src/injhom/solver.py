@@ -130,20 +130,16 @@ class _Csp:
                 in_mask[a] |= 1 << a
         self.out_mask = out_mask
         self.in_mask = in_mask
-        self.arcs_out = [[] for _ in range(g.n)]
-        self.arcs_in = [[] for _ in range(g.n)]
-        for u, v in sorted(g.arcs):
-            self.arcs_out[u].append(v)
-            self.arcs_in[v].append(u)
+        pairs = protected_pairs(g, mode)
         self.diff_adj = [[] for _ in range(g.n)]
-        for a, b in protected_pairs(g, mode):
+        for a, b in pairs:
             self.diff_adj[a].append(b)
             self.diff_adj[b].append(a)
         nbrs = [set() for _ in range(g.n)]
         for u, v in g.arcs:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        for a, b in protected_pairs(g, mode):
+        for a, b in pairs:
             nbrs[a].add(b)
             nbrs[b].add(a)
         self.constraint_nbrs = [tuple(sorted(s)) for s in nbrs]
@@ -151,9 +147,9 @@ class _Csp:
         # domains cover only two values, both values are taken, so the
         # shared neighbour is constrained by both at once
         self.pairs_at = [[] for _ in range(g.n)]
-        for a, b in protected_pairs(g, mode):
-            heads = sorted(set(self.arcs_out[a]) & set(self.arcs_out[b]))
-            tails = sorted(set(self.arcs_in[a]) & set(self.arcs_in[b]))
+        for a, b in pairs:
+            heads = sorted(set(g.out_nbrs[a]) & set(g.out_nbrs[b]))
+            tails = sorted(set(g.in_nbrs[a]) & set(g.in_nbrs[b]))
             if heads or tails:
                 entry = (a, b, tuple(heads), tuple(tails))
                 self.pairs_at[a].append(entry)
@@ -171,25 +167,27 @@ class _Csp:
     def _propagate(self, dom, stack) -> bool:
         out_mask = self.out_mask
         in_mask = self.in_mask
+        out_nbrs = self.g.out_nbrs
+        in_nbrs = self.g.in_nbrs
         while stack:
             v = stack.pop()
             dv = dom[v]
-            if self.arcs_out[v]:
+            if out_nbrs[v]:
                 support = 0
                 for a in _bit_indices(dv):
                     support |= out_mask[a]
-                for w in self.arcs_out[v]:
+                for w in out_nbrs[v]:
                     nd = dom[w] & support
                     if nd != dom[w]:
                         if not nd:
                             return False
                         dom[w] = nd
                         stack.append(w)
-            if self.arcs_in[v]:
+            if in_nbrs[v]:
                 support = 0
                 for a in _bit_indices(dv):
                     support |= in_mask[a]
-                for u in self.arcs_in[v]:
+                for u in in_nbrs[v]:
                     nd = dom[u] & support
                     if nd != dom[u]:
                         if not nd:
@@ -318,9 +316,3 @@ def solve(g, h, mode: Mode, enumerate_all: bool = False, limit=None, pins=None) 
         count=count if enumerate_all else None,
         nodes_explored=csp.nodes,
     )
-
-
-def solve_with_pins(g, h, mode: Mode, pins) -> SolveResult:
-    """solve() with some vertices pre-assigned; a pin that only violates
-    constraints gives an unsatisfiable result, not an error."""
-    return solve(g, h, mode, pins=pins)

@@ -20,7 +20,7 @@ from injhom.graphs import (
     edgeless,
     random_oriented_graph,
 )
-from injhom.poly import build_2sat_T2r_ios, decide_C3_ios, decide_poly, decide_T2r_ios
+from injhom.poly import build_2sat_T2r_ios, decide_poly, decide_T2r_ios
 from injhom.reductions import (
     complete_bipartite,
     complete_graph,
@@ -91,11 +91,11 @@ def test_criterion_1_deciders_vs_brute_force():
 def test_criterion_2_triangle_decider_shapes():
     bad = []
     for n in range(3, 13):
-        got = decide_C3_ios(directed_cycle(n)).satisfiable
+        got = decide_poly(directed_cycle(n), "C3", Mode.IOS).satisfiable
         if got != (n % 3 == 0):
             bad.append(f"C{n}")
     for n in range(1, 9):
-        if not decide_C3_ios(directed_path(n)).satisfiable:
+        if not decide_poly(directed_path(n), "C3", Mode.IOS).satisfiable:
             bad.append(f"P{n}")
     _report(2, not bad,
             "directed cycles C3..C12 accepted iff length % 3 == 0; paths P1..P8 all accepted"

@@ -16,14 +16,7 @@ from injhom.graphs import (
 )
 from injhom.poly import (
     build_2sat_T2r_ios,
-    decide_C3_ios,
-    decide_T1_ios,
-    decide_T1r_ios,
-    decide_T1r_iot,
-    decide_T2_ios,
     decide_T2r_ios,
-    decide_T2r_iot,
-    decide_T3_ios,
     decide_degree2_dp,
     decide_poly,
 )
@@ -40,21 +33,21 @@ def brute(g, target_name, mode):
 
 
 DECIDERS = [
-    (decide_T1_ios, "T1", Mode.IOS),
-    (decide_T2_ios, "T2", Mode.IOS),
-    (decide_C3_ios, "C3", Mode.IOS),
-    (decide_T3_ios, "T3", Mode.IOS),
-    (decide_T1r_ios, "T1r", Mode.IOS),
-    (decide_T1r_iot, "T1r", Mode.IOT),
-    (decide_T2r_ios, "T2r", Mode.IOS),
-    (decide_T2r_iot, "T2r", Mode.IOT),
+    ("T1", Mode.IOS),
+    ("T2", Mode.IOS),
+    ("C3", Mode.IOS),
+    ("T3", Mode.IOS),
+    ("T1r", Mode.IOS),
+    ("T1r", Mode.IOT),
+    ("T2r", Mode.IOS),
+    ("T2r", Mode.IOT),
 ]
 
 
 def test_deciders_match_brute_force_exhaustive():
     for g in all_oriented_graphs(3):
-        for fn, name, mode in DECIDERS:
-            got = fn(g)
+        for name, mode in DECIDERS:
+            got = decide_poly(g, name, mode)
             assert got.satisfiable == brute(g, name, mode), (name, mode, g)
             if got.satisfiable:
                 assert check_hom(g, build_named(name), got.witness.map, mode)
@@ -64,8 +57,8 @@ def test_deciders_match_brute_force_random():
     rng = random.Random(77)
     for _ in range(80):
         g = random_oriented_graph(5, rng)
-        for fn, name, mode in DECIDERS:
-            got = fn(g)
+        for name, mode in DECIDERS:
+            got = decide_poly(g, name, mode)
             assert got.satisfiable == brute(g, name, mode), (name, mode)
             if got.satisfiable:
                 assert check_hom(g, build_named(name), got.witness.map, mode)
@@ -73,32 +66,32 @@ def test_deciders_match_brute_force_random():
 
 def test_c3_cycles_mod3():
     for n in range(3, 13):
-        got = decide_C3_ios(directed_cycle(n))
+        got = decide_poly(directed_cycle(n), "C3", Mode.IOS)
         assert got.satisfiable == (n % 3 == 0), n
 
 
 def test_c3_paths_always_yes():
     for n in range(1, 9):
-        got = decide_C3_ios(directed_path(n))
+        got = decide_poly(directed_path(n), "C3", Mode.IOS)
         assert got.satisfiable
         assert check_hom(directed_path(n), build_named("C3"), got.witness.map, Mode.IOS)
 
 
 def test_c3_rejects_branching():
-    assert not decide_C3_ios(hat()).satisfiable
+    assert not decide_poly(hat(), "C3", Mode.IOS).satisfiable
 
 
 def test_t1_edgeless_only():
-    assert decide_T1_ios(edgeless(4)).satisfiable
-    assert not decide_T1_ios(directed_path(2)).satisfiable
+    assert decide_poly(edgeless(4), "T1", Mode.IOS).satisfiable
+    assert not decide_poly(directed_path(2), "T1", Mode.IOS).satisfiable
 
 
 def test_t2_tiny_components_only():
     g = OrientedGraph(5, [(0, 1), (3, 4)])
-    got = decide_T2_ios(g)
+    got = decide_poly(g, "T2", Mode.IOS)
     assert got.satisfiable
     assert got.witness.map[0] == 0 and got.witness.map[1] == 1
-    assert not decide_T2_ios(directed_path(3)).satisfiable
+    assert not decide_poly(directed_path(3), "T2", Mode.IOS).satisfiable
 
 
 def test_t1r_modes_differ():
@@ -106,8 +99,8 @@ def test_t1r_modes_differ():
     # has a middle vertex with two underlying neighbours, killing iot but
     # not ios on the looped point
     p3 = directed_path(3)
-    assert decide_T1r_ios(p3).satisfiable
-    assert not decide_T1r_iot(p3).satisfiable
+    assert decide_poly(p3, "T1r", Mode.IOS).satisfiable
+    assert not decide_poly(p3, "T1r", Mode.IOT).satisfiable
 
 
 def test_t2r_hat_clause_groups():
@@ -141,13 +134,13 @@ def test_t2r_build_rejects_high_degree():
 def test_t3_degree_cap():
     # underlying degree 3 is an immediate no against the transitive triangle
     g = OrientedGraph(4, [(0, 1), (0, 2), (3, 0)])
-    assert not decide_T3_ios(g).satisfiable
+    assert not decide_poly(g, "T3", Mode.IOS).satisfiable
     assert not brute(g, "T3", Mode.IOS)
 
 
 def test_t3_tournament_itself():
     t3 = transitive_tournament(3)
-    got = decide_T3_ios(t3)
+    got = decide_poly(t3, "T3", Mode.IOS)
     assert got.satisfiable
     assert sorted(got.witness.map) == [0, 1, 2]
 
@@ -170,7 +163,7 @@ def test_degree2_dp_matches_solver_random():
             continue
         trials += 1
         name = targets[trials % 3]
-        for mode in (Mode.IOS, Mode.IOT):
+        for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
             got = decide_degree2_dp(g, name, mode)
             want = solve(g, build_named(name), mode).satisfiable
             assert got.satisfiable == want
@@ -193,6 +186,6 @@ def test_decide_poly_dispatch():
 
 def test_reflexive_inputs_rejected():
     g = OrientedGraph(2, [(0, 1)], reflexive=True)
-    for fn, _, _ in DECIDERS:
+    for name, mode in DECIDERS:
         with pytest.raises(ValueError):
-            fn(g)
+            decide_poly(g, name, mode)
