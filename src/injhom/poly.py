@@ -66,12 +66,42 @@ def build_2sat_T2r_ios(g: OrientedGraph) -> TwoSatInstance:
     return inst
 
 
+def _forced_units_clash(g: OrientedGraph) -> bool:
+    """Do the unit clauses of the T2r-ios encoding already contradict?
+
+    Out-degree 2 forces t0 and in-degree 2 forces t1.  The units clash
+    when a vertex is forced both ways, when an arc runs from a vertex
+    forced to t1 into one forced to t0, or when a hat joins two vertices
+    forced to the same image.  Long inputs with many degree-2 vertices
+    are settled here without building the implication graph.
+    """
+    forced = [None] * g.n
+    for v, (ind, outd) in enumerate(degrees(g)):
+        if ind == 2 and outd == 2:
+            return True
+        if outd == 2:
+            forced[v] = 0
+        elif ind == 2:
+            forced[v] = 1
+    if any(forced[v] == 1 and forced[w] == 0 for v, w in g.arcs):
+        return True
+    # every hat is the in- or out-pair of its shared neighbour
+    for group in g.in_nbrs + g.out_nbrs:
+        if len(group) == 2:
+            a, b = group
+            if forced[a] is not None and forced[a] == forced[b]:
+                return True
+    return False
+
+
 def decide_T2r_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
     """Against the reflexive single arc, via the 2-SAT encoding."""
     _check_irreflexive(g)
     din, dout = max_degrees(g)
     if din > 2 or dout > 2:
         # a vertex with three protected neighbours cannot fit in two images
+        return PolyVerdict(False, None, "two-sat")
+    if _forced_units_clash(g):
         return PolyVerdict(False, None, "two-sat")
     assignment = solve_2sat(build_2sat_T2r_ios(g))
     if assignment is None:

@@ -5,7 +5,12 @@ per vertex of G with domain V(H), arc constraints for arc preservation,
 and difference constraints between any two vertices that appear together
 in a neighbourhood the mode protects.  Propagation keeps both constraint
 kinds locally consistent, so the forcing gadgets collapse by unit
-propagation instead of search.  Domains are bitmasks; targets are tiny.
+propagation instead of search.  Domains are bitmasks, and the values an
+arc neighbour may take are read from tables indexed by domain mask.
+
+The search is depth-first on an explicit stack, with one domain list and
+a trail of changes undone on backtracking, so input size is not bounded
+by the interpreter's recursion limit and no node copies the domains.
 
 Reflexive input graphs are accepted: a loop puts the vertex inside its
 own neighbourhoods (so its image must differ from its protected
@@ -14,7 +19,9 @@ neighbours' images) and demands a reflexive target.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -78,13 +85,6 @@ def check_hom(g: OrientedGraph, h: OrientedGraph, f, mode: Mode = Mode.PLAIN) ->
     return True
 
 
-def _bit_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def protected_pairs(g: OrientedGraph, mode: Mode) -> list:
     """Unordered vertex pairs the mode forces to distinct images: pairs
     inside one in- or out-neighbourhood (IOS) or inside a full
@@ -119,17 +119,7 @@ class _Csp:
         self.nodes = 0
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         hn = h.n
-        out_mask = [0] * hn
-        in_mask = [0] * hn
-        for a, b in h.arcs:
-            out_mask[a] |= 1 << b
-            in_mask[b] |= 1 << a
-        if h.reflexive:
-            for a in range(hn):
-                out_mask[a] |= 1 << a
-                in_mask[a] |= 1 << a
-        self.out_mask = out_mask
-        self.in_mask = in_mask
+        self.out_support, self.in_support, self.out_common, self.in_common = _target_tables(h)
         pairs = protected_pairs(g, mode)
         self.diff_adj = [[] for _ in range(g.n)]
         for a, b in pairs:
@@ -154,8 +144,7 @@ class _Csp:
                 entry = (a, b, tuple(heads), tuple(tails))
                 self.pairs_at[a].append(entry)
                 self.pairs_at[b].append(entry)
-        full = (1 << hn) - 1
-        self.start = [full] * g.n
+        self.start = [(1 << hn) - 1] * g.n
         if pins:
             for v, a in pins.items():
                 if not (isinstance(v, int) and 0 <= v < g.n):
@@ -164,121 +153,225 @@ class _Csp:
                     raise ValueError(f"pin image {a!r} out of range for target on {hn} vertices")
                 self.start[v] &= 1 << a
 
-    def _propagate(self, dom, stack) -> bool:
-        out_mask = self.out_mask
-        in_mask = self.in_mask
+    def _propagate(self, dom, stack, trail) -> bool:
+        """Shrink domains to the fixpoint of the constraints, starting from
+        the vertices in stack.  Every change is logged on trail as (vertex,
+        old domain).  A wipeout returns False and leaves its partial
+        changes on trail for the caller to undo."""
+        out_support = self.out_support
+        in_support = self.in_support
+        out_common = self.out_common
+        in_common = self.in_common
         out_nbrs = self.g.out_nbrs
         in_nbrs = self.g.in_nbrs
+        diff_adj = self.diff_adj
+        pairs_at = self.pairs_at
+        log = trail.append
         while stack:
             v = stack.pop()
             dv = dom[v]
             if out_nbrs[v]:
-                support = 0
-                for a in _bit_indices(dv):
-                    support |= out_mask[a]
+                support = out_support[dv]
                 for w in out_nbrs[v]:
-                    nd = dom[w] & support
-                    if nd != dom[w]:
+                    dw = dom[w]
+                    nd = dw & support
+                    if nd != dw:
                         if not nd:
                             return False
+                        log((w, dw))
                         dom[w] = nd
                         stack.append(w)
             if in_nbrs[v]:
-                support = 0
-                for a in _bit_indices(dv):
-                    support |= in_mask[a]
+                support = in_support[dv]
                 for u in in_nbrs[v]:
-                    nd = dom[u] & support
-                    if nd != dom[u]:
+                    du = dom[u]
+                    nd = du & support
+                    if nd != du:
                         if not nd:
                             return False
+                        log((u, du))
                         dom[u] = nd
                         stack.append(u)
             if dv & (dv - 1) == 0:  # singleton: push difference constraints
-                for w in self.diff_adj[v]:
-                    nd = dom[w] & ~dv
-                    if nd != dom[w]:
+                for w in diff_adj[v]:
+                    dw = dom[w]
+                    nd = dw & ~dv
+                    if nd != dw:
                         if not nd:
                             return False
+                        log((w, dw))
                         dom[w] = nd
                         stack.append(w)
-            for a, b, heads, tails in self.pairs_at[v]:
+            for a, b, heads, tails in pairs_at[v]:
                 union = dom[a] | dom[b]
                 if union.bit_count() != 2:
                     continue
-                x = union & -union
-                y = union ^ x
-                both_out = out_mask[x.bit_length() - 1] & out_mask[y.bit_length() - 1]
+                both_out = out_common[union]
                 for w in heads:
-                    nd = dom[w] & both_out
-                    if nd != dom[w]:
+                    dw = dom[w]
+                    nd = dw & both_out
+                    if nd != dw:
                         if not nd:
                             return False
+                        log((w, dw))
                         dom[w] = nd
                         stack.append(w)
                 if tails:
-                    both_in = in_mask[x.bit_length() - 1] & in_mask[y.bit_length() - 1]
+                    both_in = in_common[union]
                     for w in tails:
-                        nd = dom[w] & both_in
-                        if nd != dom[w]:
+                        dw = dom[w]
+                        nd = dw & both_in
+                        if nd != dw:
                             if not nd:
                                 return False
+                            log((w, dw))
                             dom[w] = nd
                             stack.append(w)
         return True
 
     def solutions(self) -> Iterator[tuple]:
-        if self.g.n == 0:
+        """Depth-first search on an explicit stack of frames.
+
+        Domains live in one list.  Every change is logged on a trail, and
+        backtracking undoes the trail to the frame's mark, so no node
+        copies the domains.  A frame holds its branch vertex, the values
+        not yet tried there, its trail mark, the node's frontier and a
+        lower bound on the lowest undecided index.
+        """
+        n = self.g.n
+        if n == 0:
             yield ()
             return
         if self.h.n == 0 or self.infeasible:
             return
         dom = list(self.start)
-        if any(d == 0 for d in dom):
+        if not all(dom):
             return
-        if not self._propagate(dom, list(range(self.g.n))):
+        trail = []
+        if not self._propagate(dom, list(range(n)), trail):
             return
-        yield from self._search(dom)
-
-    def _search(self, dom) -> Iterator[tuple]:
-        # branch next to the decided region so forcing sweeps outward
-        # through one gadget block at a time: among undecided vertices
-        # with a decided constraint-neighbour take the smallest domain
-        # (lowest index on ties); with no frontier, the lowest undecided
-        # index seeds the next component
-        best = -1
-        best_size = 1 << 30
-        fallback = -1
-        for v in range(self.g.n):
-            d = dom[v]
-            if d & (d - 1) == 0:
-                continue
-            if fallback < 0:
-                fallback = v
-            on_frontier = False
-            for w in self.constraint_nbrs[v]:
-                dw = dom[w]
-                if dw & (dw - 1) == 0:
-                    on_frontier = True
-                    break
-            if on_frontier:
-                size = d.bit_count()
-                if size < best_size:
-                    best = v
-                    best_size = size
-                    if size == 2:
-                        break
-        if best < 0:
-            best = fallback
+        trail.clear()  # the root's own changes are never undone
+        nbrs = self.constraint_nbrs
+        decided = [v for v in range(n) if dom[v] & (dom[v] - 1) == 0]
+        best, front, low_free = _next_branch(dom, nbrs, set(), decided, 0)
         if best < 0:
             yield tuple(d.bit_length() - 1 for d in dom)
             return
-        for a in _bit_indices(dom[best]):
+        frames = [[best, dom[best], 0, front, low_free]]
+        while frames:
+            frame = frames[-1]
+            best, untried, mark, front, low_free = frame
+            if len(trail) > mark:
+                for v, old in reversed(trail[mark:]):
+                    dom[v] = old
+                del trail[mark:]
+            if not untried:
+                frames.pop()
+                continue
+            value = untried & -untried
+            frame[1] = untried ^ value
             self.nodes += 1
-            branch = dom.copy()
-            branch[best] = 1 << a
-            if self._propagate(branch, [best]):
-                yield from self._search(branch)
+            trail.append((best, dom[best]))
+            dom[best] = value
+            if not self._propagate(dom, [best], trail):
+                continue
+            decided = [w for w, _ in trail[mark:] if dom[w] & (dom[w] - 1) == 0]
+            best, front, low_free = _next_branch(dom, nbrs, front, decided, low_free)
+            if best < 0:
+                yield tuple(d.bit_length() - 1 for d in dom)
+            else:
+                frames.append([best, dom[best], len(trail), front, low_free])
+
+
+def _next_branch(dom, nbrs, front, decided, low_free) -> tuple:
+    """The vertex to branch on next, the node's frontier and the advanced
+    lowest-undecided bound, given the parent's frontier and the vertices
+    decided since.
+
+    The frontier holds the undecided vertices with a decided
+    constraint-neighbour: the parent's less what is now decided, plus the
+    undecided neighbours of what is.  Branching next to the decided region
+    makes forcing sweep outward through one gadget block at a time: take
+    the frontier vertex with the smallest domain, lowest index on ties.
+    With no frontier, the lowest undecided index seeds the next component.
+    The vertex is -1 when all are decided.
+    """
+    front = front.difference(decided)
+    for w in decided:
+        for x in nbrs[w]:
+            if dom[x] & (dom[x] - 1):
+                front.add(x)
+    best = -1
+    best_size = 1 << 30
+    for v in sorted(front):
+        size = dom[v].bit_count()
+        if size < best_size:
+            best = v
+            best_size = size
+            if size == 2:  # no undecided domain is smaller
+                break
+    if best < 0:
+        n = len(dom)
+        while low_free < n and dom[low_free] & (dom[low_free] - 1) == 0:
+            low_free += 1
+        if low_free < n:
+            best = low_free
+    return best, front, low_free
+
+
+@functools.lru_cache(maxsize=256)
+def _target_tables(h: OrientedGraph) -> tuple:
+    """Mask tables of one target: supports (the values an arc neighbour
+    may take, given a domain) and commons (the values an arc neighbour of
+    both ends of a two-valued must-differ pair may take), out and in.
+
+    Entries depend on the target alone, so every search against an equal
+    target shares them; chi's many small solves against the same catalogue
+    tournaments would otherwise refill them each time.  The bound holds
+    chi's whole catalogue, irreflexive and reflexive (152 targets): chi
+    cycles through it in order, which a smaller LRU cache misses on every
+    call.
+    """
+    out_mask = [0] * h.n
+    in_mask = [0] * h.n
+    for a, b in h.arcs:
+        out_mask[a] |= 1 << b
+        in_mask[b] |= 1 << a
+    if h.reflexive:
+        for a in range(h.n):
+            out_mask[a] |= 1 << a
+            in_mask[a] |= 1 << a
+    full = (1 << h.n) - 1
+    return (
+        _MaskTable(out_mask, operator.or_, 0),
+        _MaskTable(in_mask, operator.or_, 0),
+        _MaskTable(out_mask, operator.and_, full),
+        _MaskTable(in_mask, operator.and_, full),
+    )
+
+
+class _MaskTable(dict):
+    """A target's per-value masks folded (by union or intersection) over
+    the values of a domain mask, indexed by the domain mask.  Entries are
+    filled on first use, each from the entry without its lowest value, so
+    a target of any size pays only for the domains that occur."""
+
+    def __init__(self, masks, fold, empty):
+        super().__init__({0: empty})
+        self.masks = masks
+        self.fold = fold
+
+    def __missing__(self, dom):
+        chain = []  # dom, then dom less its lowest values, down to an entry
+        while dom not in self:
+            chain.append(dom)
+            dom &= dom - 1
+        combined = self[dom]
+        for sub in reversed(chain):
+            low = sub & -sub
+            combined = self.fold(combined, self.masks[low.bit_length() - 1])
+            self[sub] = combined
+        return combined
 
 
 def enumerate_homs(g, h, mode: Mode, pins=None, limit=None) -> Iterator[tuple]:

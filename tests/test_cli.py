@@ -47,6 +47,17 @@ def test_decide_falls_back_to_search(write, capsys):
     assert "algorithm: backtracking" in out
 
 
+def test_decide_long_path_by_search(write, capsys):
+    # 3000 search levels, past the interpreter's default recursion limit
+    path = write("p3000.txt", format_edge_list(directed_path(3000)))
+    code, out, _ = run(capsys, "decide", path, "T3r", "ios")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["YES", "algorithm: backtracking"]
+    assert len(lines) == 2 + 3000
+    assert lines[2].startswith("0 -> ") and lines[-1].startswith("2999 -> ")
+
+
 def test_decide_custom_target_via_at_file(write, capsys):
     target = write("t2r.txt", format_edge_list(OrientedGraph(2, [(0, 1)], reflexive=True)))
     g = write("p2.txt", format_edge_list(directed_path(2)))

@@ -15,7 +15,8 @@ from injhom.graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from injhom.solver import check_hom, enumerate_homs, protected_pairs, solve
+from injhom.poly import decide_degree2_dp
+from injhom.solver import _Csp, check_hom, enumerate_homs, protected_pairs, solve
 from injhom.targets import build_named
 
 C3 = build_named("C3")
@@ -214,3 +215,195 @@ def test_nodes_explored_reported():
     g = directed_cycle(6)
     res = solve(g, C3r, Mode.IOS)
     assert res.nodes_explored >= 0
+
+
+# --- reference: the recursive search that the iterative one replaced ---
+
+
+def _bit_indices(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class RecursiveSearch:
+    """The search as one recursion per level, copying every domain at every
+    node and scanning every vertex for the branch choice.  The solver's
+    explicit-stack search must yield the same solutions in the same order
+    after the same number of nodes.  The constraint tables come from _Csp;
+    the value masks are rebuilt here from the target."""
+
+    def __init__(self, g, h, mode, pins=None):
+        self.csp = _Csp(g, h, mode, pins)
+        self.g = g
+        self.h = h
+        self.nodes = 0
+        self.out_mask = [0] * h.n
+        self.in_mask = [0] * h.n
+        for a, b in h.arcs:
+            self.out_mask[a] |= 1 << b
+            self.in_mask[b] |= 1 << a
+        if h.reflexive:
+            for a in range(h.n):
+                self.out_mask[a] |= 1 << a
+                self.in_mask[a] |= 1 << a
+
+    def _propagate(self, dom, stack) -> bool:
+        out_mask = self.out_mask
+        in_mask = self.in_mask
+        out_nbrs = self.g.out_nbrs
+        in_nbrs = self.g.in_nbrs
+        while stack:
+            v = stack.pop()
+            dv = dom[v]
+            if out_nbrs[v]:
+                support = 0
+                for a in _bit_indices(dv):
+                    support |= out_mask[a]
+                for w in out_nbrs[v]:
+                    nd = dom[w] & support
+                    if nd != dom[w]:
+                        if not nd:
+                            return False
+                        dom[w] = nd
+                        stack.append(w)
+            if in_nbrs[v]:
+                support = 0
+                for a in _bit_indices(dv):
+                    support |= in_mask[a]
+                for u in in_nbrs[v]:
+                    nd = dom[u] & support
+                    if nd != dom[u]:
+                        if not nd:
+                            return False
+                        dom[u] = nd
+                        stack.append(u)
+            if dv & (dv - 1) == 0:
+                for w in self.csp.diff_adj[v]:
+                    nd = dom[w] & ~dv
+                    if nd != dom[w]:
+                        if not nd:
+                            return False
+                        dom[w] = nd
+                        stack.append(w)
+            for a, b, heads, tails in self.csp.pairs_at[v]:
+                union = dom[a] | dom[b]
+                if union.bit_count() != 2:
+                    continue
+                x = union & -union
+                y = union ^ x
+                both_out = out_mask[x.bit_length() - 1] & out_mask[y.bit_length() - 1]
+                for w in heads:
+                    nd = dom[w] & both_out
+                    if nd != dom[w]:
+                        if not nd:
+                            return False
+                        dom[w] = nd
+                        stack.append(w)
+                if tails:
+                    both_in = in_mask[x.bit_length() - 1] & in_mask[y.bit_length() - 1]
+                    for w in tails:
+                        nd = dom[w] & both_in
+                        if nd != dom[w]:
+                            if not nd:
+                                return False
+                            dom[w] = nd
+                            stack.append(w)
+        return True
+
+    def solutions(self):
+        if self.g.n == 0:
+            yield ()
+            return
+        if self.h.n == 0 or self.csp.infeasible:
+            return
+        dom = list(self.csp.start)
+        if any(d == 0 for d in dom):
+            return
+        if not self._propagate(dom, list(range(self.g.n))):
+            return
+        yield from self._search(dom)
+
+    def _search(self, dom):
+        best = -1
+        best_size = 1 << 30
+        fallback = -1
+        for v in range(self.g.n):
+            d = dom[v]
+            if d & (d - 1) == 0:
+                continue
+            if fallback < 0:
+                fallback = v
+            on_frontier = False
+            for w in self.csp.constraint_nbrs[v]:
+                dw = dom[w]
+                if dw & (dw - 1) == 0:
+                    on_frontier = True
+                    break
+            if on_frontier:
+                size = d.bit_count()
+                if size < best_size:
+                    best = v
+                    best_size = size
+                    if size == 2:
+                        break
+        if best < 0:
+            best = fallback
+        if best < 0:
+            yield tuple(d.bit_length() - 1 for d in dom)
+            return
+        for a in _bit_indices(dom[best]):
+            self.nodes += 1
+            branch = dom.copy()
+            branch[best] = 1 << a
+            if self._propagate(branch, [best]):
+                yield from self._search(branch)
+
+
+def reference_corpus():
+    """Seeded small inputs: all three modes, reflexive inputs, pins, and
+    targets from two to five vertices, reflexive or not."""
+    rng = random.Random(50)
+    targets = (T2r, T3, C3r, T3r, U4, build_named("U4r"), build_named("U5r"))
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        g = random_oriented_graph(n, rng, arc_chance=rng.choice((0.3, 0.5, 2 / 3)))
+        if rng.random() < 0.15:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        h = targets[rng.randrange(len(targets))]
+        pins = {rng.randrange(n): rng.randrange(h.n)} if rng.random() < 0.25 else None
+        yield g, h, MODES[rng.randrange(3)], pins
+
+
+def test_search_matches_recursive_reference():
+    # same sequence and the same node count, both at the first witness and
+    # after the first 200 solutions
+    for g, h, mode, pins in reference_corpus():
+        ref = RecursiveSearch(g, h, mode, pins)
+        want = list(itertools.islice(ref.solutions(), 200))
+        csp = _Csp(g, h, mode, pins)
+        got = list(itertools.islice(csp.solutions(), 200))
+        assert got == want, (g, h, mode, pins)
+        assert csp.nodes == ref.nodes, (g, h, mode, pins)
+
+        first = RecursiveSearch(g, h, mode, pins)
+        next(first.solutions(), None)
+        assert solve(g, h, mode, pins=pins).nodes_explored == first.nodes, (g, h, mode, pins)
+
+
+def antidirected_cycle(n):
+    return OrientedGraph(n, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)] + [(0, n - 1)])
+
+
+def test_search_scales_to_ten_thousand_vertices():
+    # one recursion per level used to stop at about 1000 levels; the
+    # degree-2 DP is an independent reference on these inputs
+    n = 10_000
+    for g in (directed_path(n), directed_cycle(n), antidirected_cycle(n), edgeless(n)):
+        for h in (C3r, T3r, U4):
+            for mode in MODES:
+                res = solve(g, h, mode)
+                assert res.satisfiable == decide_degree2_dp(g, h, mode).satisfiable, (h, mode)
+                if res.satisfiable:
+                    assert check_hom(g, h, res.witness.map, mode)
