@@ -11,6 +11,10 @@ arc neighbour may take are read from tables indexed by domain mask.
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
 by the interpreter's recursion limit and no node copies the domains.
+Deciding (stopping at the first solution) also solves the parts that the
+decided vertices split the rest into one at a time, and a part without a
+solution fails the decision that split it off; enumeration keeps the
+plain chronological order.
 
 Reflexive input graphs are accepted: a loop puts the vertex inside its
 own neighbourhoods (so its image must differ from its protected
@@ -229,6 +233,16 @@ class _Csp:
                             stack.append(w)
         return True
 
+    def _root(self):
+        """The domains after the pins and root propagation, or None when
+        they already leave no solution.  Needs a non-empty input."""
+        if self.h.n == 0 or self.infeasible:
+            return None
+        dom = list(self.start)
+        if not all(dom) or not self._propagate(dom, list(range(self.g.n)), []):
+            return None
+        return dom
+
     def solutions(self) -> Iterator[tuple]:
         """Depth-first search on an explicit stack of frames.
 
@@ -238,21 +252,15 @@ class _Csp:
         not yet tried there, its trail mark, the node's frontier and a
         lower bound on the lowest undecided index.
         """
-        n = self.g.n
-        if n == 0:
+        if self.g.n == 0:
             yield ()
             return
-        if self.h.n == 0 or self.infeasible:
-            return
-        dom = list(self.start)
-        if not all(dom):
+        dom = self._root()
+        if dom is None:
             return
         trail = []
-        if not self._propagate(dom, list(range(n)), trail):
-            return
-        trail.clear()  # the root's own changes are never undone
         nbrs = self.constraint_nbrs
-        decided = [v for v in range(n) if dom[v] & (dom[v] - 1) == 0]
+        decided = [v for v in range(self.g.n) if dom[v] & (dom[v] - 1) == 0]
         best, front, low_free = _next_branch(dom, nbrs, set(), decided, 0)
         if best < 0:
             yield tuple(d.bit_length() - 1 for d in dom)
@@ -282,25 +290,182 @@ class _Csp:
             else:
                 frames.append([best, dom[best], len(trail), front, low_free])
 
+    def first(self) -> tuple | None:
+        """The first solution found by a search that works part by part,
+        or None when there is none.
 
-def _next_branch(dom, nbrs, front, decided, low_free) -> tuple:
-    """The vertex to branch on next, the node's frontier and the advanced
-    lowest-undecided bound, given the parent's frontier and the vertices
-    decided since.
+        Once propagation is at its fixpoint, a constraint between a
+        decided and an undecided vertex is unary, so undecided vertices
+        joined only through decided ones share no constraint.  When a
+        decision splits the undecided part it was made in, the parts are
+        solved one after another, and a part whose first frame runs out of
+        values fails the decision that split it off: the search resumes at
+        that decision's frame, past the frames of the parts solved before.
 
-    The frontier holds the undecided vertices with a decided
-    constraint-neighbour: the parent's less what is now decided, plus the
-    undecided neighbours of what is.  Branching next to the decided region
-    makes forcing sweep outward through one gadget block at a time: take
-    the frontier vertex with the smallest domain, lowest index on ties.
-    With no frontier, the lowest undecided index seeds the next component.
-    The vertex is -1 when all are decided.
-    """
+        Frames are those of solutions() plus a backjump target (the index
+        of the frame to resume when this one runs out of values) and the
+        agenda of parts still to solve, a linked list of (frontier,
+        backjump target, rest of the agenda) shared between frames.  The
+        first part taken is the one holding the frontier vertex that
+        solutions() would branch on, so an input that never splits is
+        searched exactly as there.
+        """
+        n = self.g.n
+        if n == 0:
+            return ()
+        dom = self._root()
+        if dom is None:
+            return None
+        self._owner = [0] * n
+        self._next_id = 1
+        trail = []
+        decided = [v for v in range(n) if dom[v] & (dom[v] - 1) == 0]
+        frame = self._next_frame(dom, set(), decided, None, -1, 0, 0)
+        if frame is None:
+            return tuple(d.bit_length() - 1 for d in dom)
+        frames = [frame]
+        while frames:
+            frame = frames[-1]
+            best, untried, mark, front, low_free, back, agenda = frame
+            if len(trail) > mark:
+                for v, old in reversed(trail[mark:]):
+                    dom[v] = old
+                del trail[mark:]
+            if not untried:
+                del frames[back + 1:]
+                continue
+            value = untried & -untried
+            frame[1] = untried ^ value
+            self.nodes += 1
+            trail.append((best, dom[best]))
+            dom[best] = value
+            if not self._propagate(dom, [best], trail):
+                continue
+            decided = [w for w, _ in trail[mark:] if dom[w] & (dom[w] - 1) == 0]
+            frame = self._next_frame(dom, front, decided, agenda, len(frames) - 1, low_free, len(trail))
+            if frame is None:
+                return tuple(d.bit_length() - 1 for d in dom)
+            frames.append(frame)
+        return None
+
+    def _next_frame(self, dom, front, decided, agenda, at, low_free, mark):
+        """The frame that follows frame at's decision, or None when every
+        vertex is decided; at is -1 for the root and mark is the trail
+        length.
+
+        The frontier grows as in solutions().  When the decision has two
+        or more undecided neighbours, the parts they fall into are split
+        off: the part holding the best frontier vertex is searched now and
+        the others go on the agenda, each to fail back to frame at.  A part
+        with no frontier left is solved, and the agenda gives the next one.
+        With the agenda empty, only components that nothing decided
+        touches are left, which no decision can affect: the lowest
+        undecided index starts the next, failing the whole search if it
+        has no solution.
+        """
+        front, seeds = _grow_frontier(dom, self.constraint_nbrs, front, decided)
+        back = at
+        if front:
+            best = _best(dom, front)
+            if len(seeds) > 1:
+                parts = []
+                for part in self._split(dom, seeds):
+                    part_front = front.intersection(part)
+                    front -= part_front
+                    parts.append(part_front)
+                if parts:
+                    parts.append(front)  # the rest
+                    for part_front in reversed(parts):
+                        if best in part_front:
+                            front = part_front
+                        else:
+                            agenda = (part_front, at, agenda)
+        elif agenda is not None:
+            front, back, agenda = agenda
+            best = _best(dom, front)
+        else:
+            low_free = _lowest_free(dom, low_free)
+            if low_free == len(dom):
+                return None
+            best, back = low_free, -1
+        return [best, dom[best], mark, front, low_free, back, agenda]
+
+    def _split(self, dom, seeds) -> list:
+        """The parts of the undecided vertices that the seeds fall into,
+        less one: a search from every seed in lockstep, one vertex per
+        turn, two searches merging where they meet, stopped as soon as at
+        most one is unfinished.  So the cost is about that of the finished
+        parts, which come back as vertex lists; the unfinished one, the
+        rest, does not.
+
+        owner[v] - base is the index of the search that reached v; values
+        below base are left over from earlier splits.
+        """
+        nbrs = self.constraint_nbrs
+        owner = self._owner
+        base = self._next_id
+        members = []
+        for s in seeds:
+            owner[s] = base + len(members)
+            members.append([s])
+        self._next_id = base + len(members)
+        todo = [[s] for s in seeds]
+        live = range(len(members))
+        unfinished = len(members)
+        finished = []
+        while unfinished > 1:
+            still = []
+            for i in live:
+                queue = todo[i]
+                if not queue or members[i] is None:
+                    continue  # finished, or merged into another search
+                for x in nbrs[queue.pop()]:
+                    j = owner[x] - base
+                    if j == i:
+                        continue
+                    d = dom[x]
+                    if not d & (d - 1):
+                        continue  # decided
+                    if j < 0:
+                        owner[x] = base + i
+                        members[i].append(x)
+                        queue.append(x)
+                    else:  # merge the smaller search into the larger
+                        if len(members[j]) > len(members[i]):
+                            i, j = j, i
+                            queue = todo[i]
+                        for y in members[j]:
+                            owner[y] = base + i
+                        members[i] += members[j]
+                        queue += todo[j]
+                        members[j] = None
+                        unfinished -= 1
+                if queue:
+                    still.append(i)
+                else:
+                    finished.append(members[i])
+                    unfinished -= 1
+                if unfinished <= 1:
+                    break
+            live = still
+        return finished
+
+
+def _grow_frontier(dom, nbrs, front, decided) -> tuple:
+    """A node's frontier, the undecided vertices with a decided
+    constraint-neighbour: the parent's front less what is now decided,
+    plus the undecided neighbours of what is, which come back too."""
+    seeds = {x for w in decided for x in nbrs[w] if dom[x] & (dom[x] - 1)}
     front = front.difference(decided)
-    for w in decided:
-        for x in nbrs[w]:
-            if dom[x] & (dom[x] - 1):
-                front.add(x)
+    front |= seeds
+    return front, seeds
+
+
+def _best(dom, front) -> int:
+    """The frontier vertex with the smallest domain, lowest index on ties.
+
+    Branching next to the decided region makes forcing sweep outward
+    through one gadget block at a time."""
     best = -1
     best_size = 1 << 30
     for v in sorted(front):
@@ -310,11 +475,29 @@ def _next_branch(dom, nbrs, front, decided, low_free) -> tuple:
             best_size = size
             if size == 2:  # no undecided domain is smaller
                 break
+    return best
+
+
+def _lowest_free(dom, low_free) -> int:
+    """The lowest undecided index from a lower bound, len(dom) if none."""
+    n = len(dom)
+    while low_free < n and dom[low_free] & (dom[low_free] - 1) == 0:
+        low_free += 1
+    return low_free
+
+
+def _next_branch(dom, nbrs, front, decided, low_free) -> tuple:
+    """The vertex to branch on next, the node's frontier and the advanced
+    lowest-undecided bound, given the parent's frontier and the vertices
+    decided since: the best frontier vertex or, with no frontier, the
+    lowest undecided index, which seeds the next component.  The vertex is
+    -1 when all are decided.
+    """
+    front, _ = _grow_frontier(dom, nbrs, front, decided)
+    best = _best(dom, front)
     if best < 0:
-        n = len(dom)
-        while low_free < n and dom[low_free] & (dom[low_free] - 1) == 0:
-            low_free += 1
-        if low_free < n:
+        low_free = _lowest_free(dom, low_free)
+        if low_free < len(dom):
             best = low_free
     return best, front, low_free
 
@@ -388,24 +571,27 @@ def solve(g, h, mode: Mode, enumerate_all: bool = False, limit=None, pins=None) 
     """Decide (or count) mode-injective homomorphisms from g to h.
 
     With enumerate_all the count field holds the number of solutions
-    found (capped by limit when given); otherwise the search stops at the
-    first witness and count is None.
+    found (capped by limit when given), and the witness is the first in
+    enumeration order; otherwise the search stops at the first witness of
+    the part-by-part search and count is None.
     """
     csp = _Csp(g, h, mode, pins)
-    first = None
-    count = 0
-    for sol in csp.solutions():
-        if first is None:
-            first = sol
-        count += 1
-        if not enumerate_all:
-            break
-        if limit is not None and count >= limit:
-            break
+    if enumerate_all:
+        first = None
+        count = 0
+        for sol in csp.solutions():
+            if first is None:
+                first = sol
+            count += 1
+            if limit is not None and count >= limit:
+                break
+    else:
+        first = csp.first()
+        count = None
     witness = Homomorphism(first, mode) if first is not None else None
     return SolveResult(
         satisfiable=first is not None,
         witness=witness,
-        count=count if enumerate_all else None,
+        count=count,
         nodes_explored=csp.nodes,
     )

@@ -3,7 +3,7 @@ import pytest
 from injhom.cli import main
 from injhom.fileformat import format_edge_list, format_undirected_edge_list, parse_edge_list
 from injhom.graphs import OrientedGraph, directed_cycle, directed_path
-from injhom.reductions import complete_graph
+from injhom.reductions import SimpleGraph, complete_graph, reduce_3edge_to_t3r
 
 
 @pytest.fixture
@@ -56,6 +56,19 @@ def test_decide_long_path_by_search(write, capsys):
     assert lines[:2] == ["YES", "algorithm: backtracking"]
     assert len(lines) == 2 + 3000
     assert lines[2].startswith("0 -> ") and lines[-1].startswith("2999 -> ")
+
+
+def test_decide_petersen_t3r_no(write, capsys):
+    # the Petersen graph has no 3-edge-colouring; its 610-vertex T3r
+    # instance is answered by a search that fails independent parts alone
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    inst = reduce_3edge_to_t3r(SimpleGraph(10, outer + spokes + inner))
+    path = write("petersen-t3r.txt", format_edge_list(inst.graph))
+    code, out, _ = run(capsys, "decide", path, "T3r", "ios")
+    assert code == 1
+    assert out.splitlines()[:2] == ["NO", "algorithm: backtracking"]
 
 
 def test_decide_custom_target_via_at_file(write, capsys):

@@ -10,12 +10,20 @@ from injhom.graphs import (
     converse,
     directed_cycle,
     directed_path,
+    disjoint_union,
     edgeless,
     hat,
     random_oriented_graph,
     transitive_tournament,
 )
 from injhom.poly import decide_degree2_dp
+from injhom.reductions import (
+    SimpleGraph,
+    bridged_cubic_graph,
+    complete_bipartite,
+    complete_graph,
+    reduce_3edge_to_t3r,
+)
 from injhom.solver import _Csp, check_hom, enumerate_homs, protected_pairs, solve
 from injhom.targets import build_named
 
@@ -100,6 +108,93 @@ def test_solver_matches_naive_random_larger():
         want = sorted(naive_homs(g, h, mode))
         got = sorted(enumerate_homs(g, h, mode))
         assert got == want
+
+
+def test_decision_matches_naive_exhaustive():
+    # the decision route (solve without enumerate_all) has its own search
+    targets = (C3, C3r, T2r, T3, T3r)
+    for n in range(5):
+        for g in all_oriented_graphs(n):
+            for h in targets:
+                for mode in MODES:
+                    res = solve(g, h, mode)
+                    assert res.satisfiable == bool(naive_homs(g, h, mode)), (g, h, mode)
+                    if res.satisfiable:
+                        assert check_hom(g, h, res.witness.map, mode), (g, h, mode)
+
+
+def glued_at_cut_vertex(a, b):
+    """a and b with b's vertex 0 identified with a's vertex a.n - 1."""
+    shift = a.n - 1
+    arcs = list(a.arcs) + [(u + shift, v + shift) for u, v in b.arcs]
+    return OrientedGraph(a.n + b.n - 1, arcs)
+
+
+class SplitCounter(_Csp):
+    splits = 0
+
+    def _split(self, dom, seeds):
+        parts = super()._split(dom, seeds)
+        SplitCounter.splits += bool(parts)
+        return parts
+
+
+def test_decision_on_split_inputs_matches_naive():
+    # disjoint unions and two graphs glued at a cut vertex: inputs whose
+    # undecided vertices fall apart into parts during the search
+    rng = random.Random(51)
+    SplitCounter.splits = 0
+    for _ in range(40):
+        h = (T3r, U4)[rng.randrange(2)]
+        n = rng.randint(6, 9 if h is T3r else 7)
+        k = rng.randint(3, n - 2)
+        a = random_oriented_graph(k, rng, arc_chance=0.5)
+        if rng.random() < 0.5:
+            g = disjoint_union(a, random_oriented_graph(n - k, rng, arc_chance=0.5))
+        else:
+            g = glued_at_cut_vertex(a, random_oriented_graph(n - k + 1, rng, arc_chance=0.5))
+        for mode in MODES:
+            csp = SplitCounter(g, h, mode)
+            first = csp.first()
+            want = any(check_hom(g, h, f, mode) for f in itertools.product(range(h.n), repeat=g.n))
+            assert (first is not None) == want, (g, h, mode)
+            if first is not None:
+                assert check_hom(g, h, first, mode), (g, h, mode)
+    assert SplitCounter.splits > 0
+
+
+def test_failed_part_fails_the_decision_that_split_it_off():
+    # vertex 0 splits the rest into {1} and {2, 3, 4, 5}.  With 0 -> 1 the
+    # second part needs three distinct in-neighbours of 2 inside {0, 1},
+    # which propagation alone does not see; the search must come back to
+    # vertex 0, past the solved part {1}, and answer YES with 0 -> 2
+    g = OrientedGraph(6, [(0, 1), (2, 0), (3, 2), (4, 2), (5, 2)])
+    res = solve(g, T3r, Mode.IOS)
+    assert res.satisfiable and res.witness.map[0] == 2
+    assert check_hom(g, T3r, res.witness.map, Mode.IOS)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return SimpleGraph(10, outer + spokes + inner)
+
+
+def test_t3r_hardness_instances_decided_by_parts():
+    # the equalizers between vertex gadgets are independent once their
+    # ports are decided; a NO search fails them alone instead of retrying
+    # every combination of unrelated interiors, which takes a chronological
+    # search over a minute on Petersen and 68,636 nodes on bridged ios
+    for mode in (Mode.IOS, Mode.IOT):
+        inst = reduce_3edge_to_t3r(petersen(), mode)
+        res = solve(inst.graph, T3r, mode)
+        assert not res.satisfiable and res.nodes_explored < 20_000, (mode, res.nodes_explored)
+    res = solve(reduce_3edge_to_t3r(bridged_cubic_graph()).graph, T3r, Mode.IOS)
+    assert not res.satisfiable and res.nodes_explored < 5_000, res.nodes_explored
+    # inputs that never split keep the chronological search's counts
+    assert solve(reduce_3edge_to_t3r(complete_graph(4)).graph, T3r, Mode.IOS).nodes_explored == 62
+    assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 84
 
 
 def test_witnesses_always_check():
@@ -377,8 +472,10 @@ def reference_corpus():
 
 
 def test_search_matches_recursive_reference():
-    # same sequence and the same node count, both at the first witness and
-    # after the first 200 solutions
+    # enumeration: the same sequence and node count after the first 200
+    # solutions; deciding: the same verdict as the reference's first
+    # witness, a witness that checks and keeps the pins, and no more nodes,
+    # since solving split-off parts alone only skips work
     for g, h, mode, pins in reference_corpus():
         ref = RecursiveSearch(g, h, mode, pins)
         want = list(itertools.islice(ref.solutions(), 200))
@@ -388,8 +485,13 @@ def test_search_matches_recursive_reference():
         assert csp.nodes == ref.nodes, (g, h, mode, pins)
 
         first = RecursiveSearch(g, h, mode, pins)
-        next(first.solutions(), None)
-        assert solve(g, h, mode, pins=pins).nodes_explored == first.nodes, (g, h, mode, pins)
+        ref_witness = next(first.solutions(), None)
+        res = solve(g, h, mode, pins=pins)
+        assert res.satisfiable == (ref_witness is not None), (g, h, mode, pins)
+        if res.satisfiable:
+            assert check_hom(g, h, res.witness.map, mode), (g, h, mode, pins)
+            assert all(res.witness.map[v] == a for v, a in (pins or {}).items()), (g, h, mode, pins)
+        assert res.nodes_explored <= first.nodes, (g, h, mode, pins)
 
 
 def antidirected_cycle(n):
@@ -407,3 +509,7 @@ def test_search_scales_to_ten_thousand_vertices():
                 assert res.satisfiable == decide_degree2_dp(g, h, mode).satisfiable, (h, mode)
                 if res.satisfiable:
                     assert check_hom(g, h, res.witness.map, mode)
+    # a frontier of 10^4 leaves: each leaf is a part of its own
+    star = OrientedGraph(n + 1, [(0, i) for i in range(1, n + 1)])
+    res = solve(star, T3r, Mode.PLAIN)
+    assert res.satisfiable and check_hom(star, T3r, res.witness.map, Mode.PLAIN)
