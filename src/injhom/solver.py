@@ -363,7 +363,14 @@ class _Csp:
         undecided index starts the next, failing the whole search if it
         has no solution.
         """
-        front, seeds = _grow_frontier(dom, self.constraint_nbrs, front, decided)
+        nbrs = self.constraint_nbrs
+        front = front.difference(decided)
+        seeds = set()  # the undecided neighbours of what is now decided
+        for w in decided:
+            for x in nbrs[w]:
+                if dom[x] & (dom[x] - 1):
+                    seeds.add(x)
+        front |= seeds
         back = at
         if front:
             best = _best(dom, front)
@@ -402,6 +409,16 @@ class _Csp:
         below base are left over from earlier splits.
         """
         nbrs = self.constraint_nbrs
+        # seeds joined by constraints among themselves lie in one part
+        reached = {next(iter(seeds))}
+        stack = list(reached)
+        while stack:
+            for x in nbrs[stack.pop()]:
+                if x in seeds and x not in reached:
+                    reached.add(x)
+                    stack.append(x)
+        if len(reached) == len(seeds):
+            return []
         owner = self._owner
         base = self._next_id
         members = []
@@ -451,16 +468,6 @@ class _Csp:
         return finished
 
 
-def _grow_frontier(dom, nbrs, front, decided) -> tuple:
-    """A node's frontier, the undecided vertices with a decided
-    constraint-neighbour: the parent's front less what is now decided,
-    plus the undecided neighbours of what is, which come back too."""
-    seeds = {x for w in decided for x in nbrs[w] if dom[x] & (dom[x] - 1)}
-    front = front.difference(decided)
-    front |= seeds
-    return front, seeds
-
-
 def _best(dom, front) -> int:
     """The frontier vertex with the smallest domain, lowest index on ties.
 
@@ -489,11 +496,19 @@ def _lowest_free(dom, low_free) -> int:
 def _next_branch(dom, nbrs, front, decided, low_free) -> tuple:
     """The vertex to branch on next, the node's frontier and the advanced
     lowest-undecided bound, given the parent's frontier and the vertices
-    decided since: the best frontier vertex or, with no frontier, the
-    lowest undecided index, which seeds the next component.  The vertex is
-    -1 when all are decided.
+    decided since.
+
+    The frontier holds the undecided vertices with a decided
+    constraint-neighbour: the parent's less what is now decided, plus the
+    undecided neighbours of what is.  The vertex is the best frontier
+    vertex or, with no frontier, the lowest undecided index, which seeds
+    the next component; it is -1 when all are decided.
     """
-    front, _ = _grow_frontier(dom, nbrs, front, decided)
+    front = front.difference(decided)
+    for w in decided:
+        for x in nbrs[w]:
+            if dom[x] & (dom[x] - 1):
+                front.add(x)
     best = _best(dom, front)
     if best < 0:
         low_free = _lowest_free(dom, low_free)
