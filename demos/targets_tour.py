@@ -2,13 +2,16 @@
 
 Runs a handful of small oriented graphs against every named target in
 both injective modes and reports the algorithm that settled each case.
-The pattern that emerges is the complexity split: T1, T2, C3, T3 and the
-reflexive T1r, T2r are decided in polynomial time, while the reflexive
-triangle, T3r and the U family fall back to search.
+Paths and cycles go to the transfer DP against every target.  On an
+input with a vertex of underlying degree three the complexity split
+shows: T1, T2, C3, T3 and the reflexive T1r, T2r are decided in
+polynomial time (T2r under ios by a search that is 2-SAT there), while
+the reflexive triangle, T3r and the U family fall back to search.
 """
 
 from injhom import (
     Mode,
+    OrientedGraph,
     build_named,
     decide_poly,
     directed_cycle,
@@ -50,11 +53,14 @@ def main():
             print(row)
         print()
 
-    print("algorithms used (directed cycle C6):")
-    g = directed_cycle(6)
-    for name in TARGETS:
-        sat, algo = verdict_for(g, name, Mode.IOS)
-        print(f"  {name:4} -> {'yes' if sat else 'no':3}  via {algo}")
+    claw = OrientedGraph(4, [(0, 1), (0, 2), (3, 0)])
+    for label, g in (("directed cycle C6", directed_cycle(6)),
+                     ("claw 3 -> 0 -> 1, 2: degree 3 at vertex 0", claw)):
+        print(f"algorithms used ({label}):")
+        for name in TARGETS:
+            sat, algo = verdict_for(g, name, Mode.IOS)
+            print(f"  {name:4} -> {'yes' if sat else 'no':3}  via {algo}")
+        print()
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from .graphs import (
     directed_path,
     disjoint_union,
     edgeless,
-    find_hats,
     hat,
     is_tournament,
     max_degrees,
@@ -73,7 +72,6 @@ from .reductions import (
 )
 from .solver import Homomorphism, SolveResult, check_hom, enumerate_homs, protected_pairs, solve
 from .targets import TargetSpec, build_named, label_index, target_labels, u_tournament
-from .twosat import TwoSatInstance, solve_2sat
 from .verify import SUITES, run_suite
 
 __version__ = "0.1.0"
@@ -81,16 +79,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ChiCapError", "ChiResult", "EdgeListError", "GADGET_BUILDERS", "Gadget",
     "Homomorphism", "Mode", "OrientedGraph", "PolyVerdict", "ReductionInstance",
-    "SUITES", "SimpleGraph", "SolveResult", "TargetSpec", "TwoSatInstance",
+    "SUITES", "SimpleGraph", "SolveResult", "TargetSpec",
     "all_oriented_graphs", "antidirected_cycle", "apex_cycle", "build_named",
     "canonical_flavour", "canonical_tournament_key", "check_Um_forcing",
     "check_hom", "chi", "colouring_instance", "complete_bipartite",
     "complete_graph", "component_shapes", "converse", "cycle_graph",
     "decide_poly", "directed_cycle", "directed_path", "disjoint_union",
     "edgeless", "enumerate_homs", "enumerate_tournaments", "equalizer",
-    "find_3edge_colouring", "find_hats", "format_edge_list",
-    "format_undirected_edge_list", "hat",
-    "in_star", "is_tournament", "label_index", "lift_u4_instance",
+    "find_3edge_colouring", "format_edge_list",
+    "format_undirected_edge_list", "hat", "in_star", "is_tournament", "label_index", "lift_u4_instance",
     "max_degrees", "oracle_3col", "oracle_3edge", "oracle_k_colouring",
     "parse_edge_list", "parse_undirected_edge_list", "path_graph",
     "prism_graph", "bridged_cubic_graph",
@@ -98,6 +95,6 @@ __all__ = [
     "reduce_3col_to_iot_c3r", "reduce_3edge_to_t3r", "reduce_3edge_to_u4",
     "reduce_3edge_to_um", "reduce_ios_c3r_to_umr", "reduce_iot_c3r_to_umr",
     "run_suite", "selector_cycle", "selector_forced_cycle_roles", "solve",
-    "solve_2sat", "target_labels", "transitive_tournament", "u_tournament",
+    "target_labels", "transitive_tournament", "u_tournament",
     "with_random_edge_order",
 ]

@@ -138,22 +138,6 @@ def max_degrees(g: OrientedGraph) -> tuple:
     return (max(d for d, _ in ds), max(d for _, d in ds))
 
 
-def find_hats(g: OrientedGraph) -> list:
-    """All unordered pairs {a, b} of distinct vertices that share a common
-    out-neighbour or a common in-neighbour.
-
-    Such a pair forms the two ends of a length-two walk through the shared
-    vertex, so any map injective on that vertex's in- (or out-)
-    neighbourhood must separate a and b.  Loops are ignored.
-    """
-    pairs = set()
-    for v in range(g.n):
-        for group in (g.in_nbrs[v], g.out_nbrs[v]):
-            for a, b in itertools.combinations(group, 2):
-                pairs.add((a, b) if a < b else (b, a))
-    return sorted(pairs)
-
-
 class ShapeKind(enum.Enum):
     ISOLATED_VERTEX = "isolated-vertex"
     SINGLE_ARC = "single-arc"

@@ -1,25 +1,26 @@
-"""Polynomial-time deciders for the tractable target/mode families.
+"""Polynomial-time decisions: a degree rule and a transfer DP, with the
+search behind them.
 
-Covered: the irreflexive targets T1, T2, C3, T3 (where the ios and iot
-questions coincide) and the reflexive targets T1r, T2r under both modes.
-Everything else -- the reflexive triangle, T3r, the whole U family and
-custom targets -- is where the problems turn NP-complete, and decide_poly
-reports those as not covered (None) instead of silently guessing.
-
-T2r under ios is a 2-SAT problem.  Every other covered pair follows one
-rule: an input vertex of underlying degree three is a no, and a transfer
-DP along the remaining paths and cycles decides the rest.  Every yes
-answer carries a reconstructed witness.
+Paths and cycles are easy against every fixed target: decide_poly sends
+every input of underlying degree at most 2 to a transfer DP along its
+paths and cycles.  Where the input branches, the tractable pairs -- T1,
+T2, C3, T3 (where the ios and iot questions coincide), T1r under both
+modes and T2r under iot -- answer no, since none of them leaves a vertex
+room for three neighbours.  T2r under ios is 2-SAT, and the search
+decides it: against a two-vertex target its propagation is 2-SAT's unit
+propagation, and it never retries a decision that propagated cleanly.
+Everything else -- the reflexive triangle, T3r, the whole U family,
+custom targets, plain mode and reflexive inputs -- is left to the
+search (None).  Every yes answer carries a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Mode, OrientedGraph, degrees, find_hats, max_degrees
-from .solver import Homomorphism
+from .graphs import Mode, OrientedGraph
+from .solver import Homomorphism, solve
 from .targets import TargetSpec, build_named
-from .twosat import TwoSatInstance, solve_2sat
 
 
 @dataclass
@@ -29,85 +30,12 @@ class PolyVerdict:
     algorithm: str
 
 
-def _check_irreflexive(g: OrientedGraph) -> None:
-    if g.reflexive:
-        raise ValueError("polynomial deciders take irreflexive inputs")
-
-
 def _branches(g: OrientedGraph) -> bool:
-    """Has g a vertex of underlying degree three or more?"""
-    return any(len(nbrs) > 2 for nbrs in g.underlying_nbrs)
-
-
-def build_2sat_T2r_ios(g: OrientedGraph) -> TwoSatInstance:
-    """Clause system for mapping g to the reflexive single arc t0 -> t1
-    with separate in/out injectivity; variable v is true iff v maps to t1.
-
-    Clause groups: (i) out-degree-2 vertices must sit at t0, (ii)
-    in-degree-2 vertices at t1, (iii) arcs forbid t1 -> t0, (iv) two
-    vertices sharing a common in- or out-neighbour take different images.
-    Requires max in- and out-degree at most two.
-    """
-    _check_irreflexive(g)
-    din, dout = max_degrees(g)
-    if din > 2 or dout > 2:
-        raise ValueError("2-SAT encoding needs in- and out-degrees at most 2")
-    inst = TwoSatInstance(g.n)
-    for v, (ind, outd) in enumerate(degrees(g)):
-        if outd == 2:
-            inst.add_clause((v, False))
-        if ind == 2:
-            inst.add_clause((v, True))
-    for v, w in sorted(g.arcs):
-        inst.add_clause((v, False), (w, True))
-    for v, w in find_hats(g):
-        inst.add_clause((v, True), (w, True))
-        inst.add_clause((v, False), (w, False))
-    return inst
-
-
-def _forced_units_clash(g: OrientedGraph) -> bool:
-    """Do the unit clauses of the T2r-ios encoding already contradict?
-
-    Out-degree 2 forces t0 and in-degree 2 forces t1.  The units clash
-    when a vertex is forced both ways, when an arc runs from a vertex
-    forced to t1 into one forced to t0, or when a hat joins two vertices
-    forced to the same image.  Long inputs with many degree-2 vertices
-    are settled here without building the implication graph.
-    """
-    forced = [None] * g.n
-    for v, (ind, outd) in enumerate(degrees(g)):
-        if ind == 2 and outd == 2:
-            return True
-        if outd == 2:
-            forced[v] = 0
-        elif ind == 2:
-            forced[v] = 1
-    if any(forced[v] == 1 and forced[w] == 0 for v, w in g.arcs):
-        return True
-    # every hat is the in- or out-pair of its shared neighbour
-    for group in g.in_nbrs + g.out_nbrs:
-        if len(group) == 2:
-            a, b = group
-            if forced[a] is not None and forced[a] == forced[b]:
-                return True
-    return False
-
-
-def decide_T2r_ios(g: OrientedGraph, mode: Mode = Mode.IOS) -> PolyVerdict:
-    """Against the reflexive single arc, via the 2-SAT encoding."""
-    _check_irreflexive(g)
-    din, dout = max_degrees(g)
-    if din > 2 or dout > 2:
-        # a vertex with three protected neighbours cannot fit in two images
-        return PolyVerdict(False, None, "two-sat")
-    if _forced_units_clash(g):
-        return PolyVerdict(False, None, "two-sat")
-    assignment = solve_2sat(build_2sat_T2r_ios(g))
-    if assignment is None:
-        return PolyVerdict(False, None, "two-sat")
-    image = tuple(1 if a else 0 for a in assignment)
-    return PolyVerdict(True, Homomorphism(image, mode), "two-sat")
+    """Has g a vertex of underlying degree three or more?  g is oriented,
+    so a vertex's in- and out-neighbours are distinct and their counts
+    add up to its underlying degree."""
+    in_nbrs, out_nbrs = g.in_nbrs, g.out_nbrs
+    return any(len(in_nbrs[v]) + len(out_nbrs[v]) > 2 for v in range(g.n))
 
 
 # --- transfer DP over components of underlying degree <= 2 ---
@@ -193,7 +121,8 @@ def decide_degree2_dp(g: OrientedGraph, target, mode: Mode) -> PolyVerdict:
     neighbours must take different images.  Inputs with an underlying
     degree-3 vertex are rejected as invalid.
     """
-    _check_irreflexive(g)
+    if g.reflexive:
+        raise ValueError("the transfer DP takes irreflexive inputs")
     if _branches(g):
         raise ValueError("underlying degree exceeds 2")
     return _degree2_verdict(g, _resolve_target(target), mode, "degree2-dp")
@@ -284,12 +213,11 @@ def _dp_cycle(n, first, moves):
 
 # --- dispatch ---
 
-# Algorithm label of each tractable (target, mode) pair other than T2r
-# under ios.  Each of these targets leaves an input vertex room for at
-# most two neighbours: the mode maps its in- and its out-neighbours
-# injectively (under iot, all its neighbours) into those of its image, and
-# no image has more than two in all.  So underlying degree three is a no,
-# and the transfer DP settles the paths and cycles left.
+# Algorithm label of each tractable (target, mode) pair.  Each of these
+# targets but T2r under ios leaves an input vertex room for at most two
+# neighbours: the mode maps its in- and its out-neighbours injectively
+# (under iot, all its neighbours) into those of its image, and no image
+# has more than two in all.  So underlying degree three is a no.
 _LABELS = {
     ("T1", Mode.IOS): "edgeless-check",
     ("T1", Mode.IOT): "edgeless-check",
@@ -301,24 +229,31 @@ _LABELS = {
     ("T3", Mode.IOT): "degree2-dp",
     ("T1r", Mode.IOS): "degree-one-check",
     ("T1r", Mode.IOT): "tiny-components",
+    ("T2r", Mode.IOS): "two-sat",
     ("T2r", Mode.IOT): "degree2-dp",
 }
 
 
 def decide_poly(g: OrientedGraph, target, mode: Mode):
-    """Run the matching polynomial decider, or return None when the
-    (target, mode) pair has no known polynomial algorithm here."""
+    """Decide by the polynomial route, or return None to leave g to the
+    search.
+
+    Reflexive inputs are left to the search.  An input of underlying
+    degree at most 2 goes to the transfer DP, against any target.  A
+    branching input is a no for a tabled pair, is decided by the search
+    for T2r under ios (2-SAT there), and is left to the search otherwise.
+    """
     spec = TargetSpec.parse(target) if isinstance(target, str) else target
     if not isinstance(spec, TargetSpec):
         spec = TargetSpec.from_graph(spec)
-    if spec.custom is not None or spec.name is None:
+    if g.reflexive:
         return None
-    if (spec.name, mode) == ("T2r", Mode.IOS):
-        return decide_T2r_ios(g, mode)
     label = _LABELS.get((spec.name, mode))
+    if not _branches(g):
+        return _degree2_verdict(g, spec.build(), mode, label or "degree2-dp")
     if label is None:
         return None
-    _check_irreflexive(g)
-    if _branches(g):
+    if (spec.name, mode) != ("T2r", Mode.IOS):
         return PolyVerdict(False, None, label)
-    return _degree2_verdict(g, build_named(spec), mode, label)
+    res = solve(g, spec.build(), mode)
+    return PolyVerdict(res.satisfiable, res.witness, label)

@@ -44,7 +44,6 @@ class Homomorphism:
 class SolveResult:
     satisfiable: bool
     witness: Homomorphism | None
-    count: int | None  # total solutions when enumerating, else None
     nodes_explored: int
 
 
@@ -309,6 +308,14 @@ class _Csp:
         first part taken is the one holding the frontier vertex that
         solutions() would branch on, so an input that never splits is
         searched exactly as there.
+
+        Against a target of at most two vertices every undecided domain is
+        the whole target, so once propagation settles, the constraints left
+        among undecided vertices are some of the input's own: a part
+        without a solution means the input has none, and every frame fails
+        back to the root.  No decision that propagated cleanly is retried,
+        so the search takes at most two nodes per vertex; this is how it
+        decides 2-SAT (Even, Itai & Shamir, SIAM J. Comput. 5(4), 1976).
         """
         n = self.g.n
         if n == 0:
@@ -324,6 +331,7 @@ class _Csp:
         if frame is None:
             return tuple(d.bit_length() - 1 for d in dom)
         frames = [frame]
+        two_valued = self.h.n <= 2
         while frames:
             frame = frames[-1]
             best, untried, mark, front, low_free, back, agenda = frame
@@ -342,7 +350,8 @@ class _Csp:
             if not self._propagate(dom, [best], trail):
                 continue
             decided = [w for w, _ in trail[mark:] if dom[w] & (dom[w] - 1) == 0]
-            frame = self._next_frame(dom, front, decided, agenda, len(frames) - 1, low_free, len(trail))
+            at = -1 if two_valued else len(frames) - 1
+            frame = self._next_frame(dom, front, decided, agenda, at, low_free, len(trail))
             if frame is None:
                 return tuple(d.bit_length() - 1 for d in dom)
             frames.append(frame)
@@ -582,31 +591,14 @@ def enumerate_homs(g, h, mode: Mode, pins=None, limit=None) -> Iterator[tuple]:
         yield from itertools.islice(gen, limit)
 
 
-def solve(g, h, mode: Mode, enumerate_all: bool = False, limit=None, pins=None) -> SolveResult:
-    """Decide (or count) mode-injective homomorphisms from g to h.
-
-    With enumerate_all the count field holds the number of solutions
-    found (capped by limit when given), and the witness is the first in
-    enumeration order; otherwise the search stops at the first witness of
-    the part-by-part search and count is None.
-    """
+def solve(g, h, mode: Mode, pins=None) -> SolveResult:
+    """Decide mode-injective homomorphisms from g to h; the witness is the
+    first one the part-by-part search finds."""
     csp = _Csp(g, h, mode, pins)
-    if enumerate_all:
-        first = None
-        count = 0
-        for sol in csp.solutions():
-            if first is None:
-                first = sol
-            count += 1
-            if limit is not None and count >= limit:
-                break
-    else:
-        first = csp.first()
-        count = None
+    first = csp.first()
     witness = Homomorphism(first, mode) if first is not None else None
     return SolveResult(
         satisfiable=first is not None,
         witness=witness,
-        count=count,
         nodes_explored=csp.nodes,
     )

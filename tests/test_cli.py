@@ -41,21 +41,30 @@ def test_decide_no(write, capsys):
 
 
 def test_decide_falls_back_to_search(write, capsys):
-    path = write("c6.txt", format_edge_list(directed_cycle(6)))
+    # a vertex of underlying degree 3 takes the reflexive triangle past
+    # the transfer DP
+    path = write("claw.txt", format_edge_list(OrientedGraph(4, [(0, 1), (0, 2), (3, 0)])))
     code, out, _ = run(capsys, "decide", path, "C3r", "ios")
     assert code == 0
     assert "algorithm: backtracking" in out
 
 
 def test_decide_long_path_by_search(write, capsys):
-    # 3000 search levels, past the interpreter's default recursion limit
+    # the plain path is the transfer DP's
     path = write("p3000.txt", format_edge_list(directed_path(3000)))
+    code, out, _ = run(capsys, "decide", path, "T3r", "ios")
+    assert code == 0
+    assert out.splitlines()[:2] == ["YES", "algorithm: degree2-dp"]
+    # one pendant arc at the middle leaves it to the search: 3000 search
+    # levels, past the interpreter's default recursion limit
+    arcs = [(v, v + 1) for v in range(2999)] + [(1500, 3000)]
+    path = write("p3000-pendant.txt", format_edge_list(OrientedGraph(3001, arcs)))
     code, out, _ = run(capsys, "decide", path, "T3r", "ios")
     assert code == 0
     lines = out.splitlines()
     assert lines[:2] == ["YES", "algorithm: backtracking"]
-    assert len(lines) == 2 + 3000
-    assert lines[2].startswith("0 -> ") and lines[-1].startswith("2999 -> ")
+    assert len(lines) == 2 + 3001
+    assert lines[2].startswith("0 -> ") and lines[-1].startswith("3000 -> ")
 
 
 def test_decide_petersen_t3r_no(write, capsys):

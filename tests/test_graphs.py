@@ -11,13 +11,13 @@ from injhom.graphs import (
     directed_path,
     disjoint_union,
     edgeless,
-    find_hats,
     hat,
     is_tournament,
     max_degrees,
     random_oriented_graph,
     transitive_tournament,
 )
+from injhom.solver import protected_pairs
 
 
 def test_arc_validation():
@@ -80,15 +80,16 @@ def test_hat_shape():
 
 
 def test_find_hats():
-    assert find_hats(hat()) == [(0, 2)]
+    # the ios-protected pairs of an irreflexive graph are its hats
+    assert protected_pairs(hat(), Mode.IOS) == [(0, 2)]
     t3 = transitive_tournament(3)
     # t3: both 0,1 point at 2 (in-pair) and 0 points at 1,2 (out-pair)
-    assert (0, 1) in find_hats(t3)
+    assert (0, 1) in protected_pairs(t3, Mode.IOS)
 
 
 def test_find_hats_includes_out_pairs():
     g = OrientedGraph(3, [(1, 0), (1, 2)])
-    assert find_hats(g) == [(0, 2)]
+    assert protected_pairs(g, Mode.IOS) == [(0, 2)]
 
 
 def test_component_shapes_directed_path():

@@ -14,12 +14,9 @@ from injhom.graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from injhom.poly import (
-    build_2sat_T2r_ios,
-    decide_T2r_ios,
-    decide_degree2_dp,
-    decide_poly,
-)
+from injhom.cli import main
+from injhom.fileformat import format_edge_list
+from injhom.poly import decide_degree2_dp, decide_poly
 from injhom.solver import check_hom, solve
 from injhom.targets import build_named
 
@@ -103,32 +100,14 @@ def test_t1r_modes_differ():
     assert not decide_poly(p3, "T1r", Mode.IOT).satisfiable
 
 
-def test_t2r_hat_clause_groups():
-    inst = build_2sat_T2r_ios(hat())
-    # hat: arcs 0->1, 2->1; vertex 1 has in-degree 2 so a unit clause, the
-    # in-pair (0, 2) yields the two difference clauses, plus two arc clauses
-    units = [c for c in inst.clauses if len(c) == 1]
-    assert ((1, True),) in units
-    pairs = [c for c in inst.clauses if len(c) == 2]
-    assert ((0, True), (2, True)) in pairs
-    assert ((0, False), (2, False)) in pairs
-    assert ((0, False), (1, True)) in pairs
-    assert ((2, False), (1, True)) in pairs
-
-
 def test_t2r_degree_cap_is_a_genuine_no():
     # out-degree 3 vertex: three out-neighbours cannot take distinct images
     # in a two-vertex target
     g = OrientedGraph(4, [(0, 1), (0, 2), (0, 3)])
-    got = decide_T2r_ios(g)
+    got = decide_poly(g, "T2r", Mode.IOS)
+    assert got.algorithm == "two-sat"
     assert not got.satisfiable
     assert not brute(g, "T2r", Mode.IOS)
-
-
-def test_t2r_build_rejects_high_degree():
-    g = OrientedGraph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        build_2sat_T2r_ios(g)
 
 
 def test_t3_degree_cap():
@@ -176,16 +155,37 @@ def test_decide_poly_dispatch():
     assert decide_poly(g, "C3", Mode.IOS).algorithm == "path-cycle-mod3"
     assert decide_poly(g, "T2r", Mode.IOS).algorithm == "two-sat"
     assert decide_poly(g, "T2r", Mode.IOT).algorithm == "degree2-dp"
-    # the hard side has no polynomial decider here
-    assert decide_poly(g, "C3r", Mode.IOS) is None
-    assert decide_poly(g, "T3r", Mode.IOT) is None
-    assert decide_poly(g, "U4", Mode.IOS) is None
-    assert decide_poly(g, "C3", Mode.PLAIN) is None
-    assert decide_poly(g, transitive_tournament(3), Mode.IOS) is None
+    # paths and cycles go to the DP against every target
+    untabled = [("C3r", Mode.IOS), ("T3r", Mode.IOT), ("U4", Mode.IOS),
+                ("C3", Mode.PLAIN), (transitive_tournament(3), Mode.IOS)]
+    for target, mode in untabled:
+        h = build_named(target) if isinstance(target, str) else target
+        got = decide_poly(g, target, mode)
+        assert got.algorithm == "degree2-dp", (target, mode)
+        assert got.satisfiable == solve(g, h, mode).satisfiable, (target, mode)
+        if got.satisfiable:
+            assert check_hom(g, h, got.witness.map, mode)
+    # a vertex of underlying degree 3 leaves the hard side to the search
+    star = OrientedGraph(4, [(0, 1), (0, 2), (3, 0)])
+    for target, mode in untabled:
+        assert decide_poly(star, target, mode) is None, (target, mode)
+    # T2r under ios is decided on branching inputs too
+    got = decide_poly(star, "T2r", Mode.IOS)
+    assert got.algorithm == "two-sat"
+    assert got.satisfiable
+    assert check_hom(star, build_named("T2r"), got.witness.map, Mode.IOS)
 
 
-def test_reflexive_inputs_rejected():
+def test_reflexive_inputs_rejected(tmp_path, capsys):
+    # reflexive inputs are left to the search, which answers them
     g = OrientedGraph(2, [(0, 1)], reflexive=True)
     for name, mode in DECIDERS:
-        with pytest.raises(ValueError):
-            decide_poly(g, name, mode)
+        assert decide_poly(g, name, mode) is None, (name, mode)
+    path = tmp_path / "loops.txt"
+    path.write_text(format_edge_list(g))
+    for name, mode in [("T2r", "ios"), ("C3", "ios"), ("T3r", "iot")]:
+        code = main(["decide", str(path), name, mode])
+        out = capsys.readouterr().out
+        assert code in (0, 1), (name, mode)
+        assert "algorithm: backtracking" in out
+        assert out.startswith("YES" if code == 0 else "NO")

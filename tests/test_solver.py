@@ -111,7 +111,7 @@ def test_solver_matches_naive_random_larger():
 
 
 def test_decision_matches_naive_exhaustive():
-    # the decision route (solve without enumerate_all) has its own search
+    # the decision route (solve) has its own search
     targets = (C3, C3r, T2r, T3, T3r)
     for n in range(5):
         for g in all_oriented_graphs(n):
@@ -197,6 +197,29 @@ def test_t3r_hardness_instances_decided_by_parts():
     assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 84
 
 
+def test_two_vertex_targets_take_at_most_two_nodes_per_vertex():
+    # against a target of at most two vertices a part without a solution
+    # means the input has none, so no decision that propagated cleanly is
+    # retried: the search decides 2-SAT in at most two nodes per vertex
+    rng = random.Random(53)
+    targets = (build_named("T2"), T2r, build_named("T1r"))
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = random_oriented_graph(n, rng, arc_chance=rng.choice((0.15, 0.25, 0.4)))
+        if rng.random() < 0.15:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        h = targets[rng.randrange(len(targets))]
+        pins = {rng.randrange(n): rng.randrange(h.n)} if rng.random() < 0.25 else None
+        for mode in MODES:
+            want = next(_Csp(g, h, mode, pins).solutions(), None) is not None
+            res = solve(g, h, mode, pins=pins)
+            assert res.satisfiable == want, (g, h, mode, pins)
+            assert res.nodes_explored <= 2 * g.n, (g, h, mode, pins, res.nodes_explored)
+            if res.satisfiable:
+                assert check_hom(g, h, res.witness.map, mode), (g, h, mode, pins)
+                assert all(res.witness.map[v] == a for v, a in (pins or {}).items())
+
+
 def test_witnesses_always_check():
     rng = random.Random(43)
     for _ in range(40):
@@ -273,8 +296,6 @@ def test_enumerate_limit_and_count():
     g = edgeless(2)
     full = list(enumerate_homs(g, T3, Mode.PLAIN))
     assert len(full) == 9
-    res = solve(g, T3, Mode.PLAIN, enumerate_all=True)
-    assert res.count == 9
     assert len(list(enumerate_homs(g, T3, Mode.PLAIN, limit=4))) == 4
 
 
