@@ -32,7 +32,6 @@ from .graphs import (
     Mode,
     OrientedGraph,
     all_oriented_graphs,
-    component_shapes,
     converse,
     directed_cycle,
     directed_path,
@@ -83,7 +82,7 @@ __all__ = [
     "all_oriented_graphs", "antidirected_cycle", "apex_cycle", "build_named",
     "canonical_flavour", "canonical_tournament_key", "check_Um_forcing",
     "check_hom", "chi", "colouring_instance", "complete_bipartite",
-    "complete_graph", "component_shapes", "converse", "cycle_graph",
+    "complete_graph", "converse", "cycle_graph",
     "decide_poly", "directed_cycle", "directed_path", "disjoint_union",
     "edgeless", "enumerate_homs", "enumerate_tournaments", "equalizer",
     "find_3edge_colouring", "format_edge_list",

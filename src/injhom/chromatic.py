@@ -4,7 +4,9 @@ A flavour-k-colouring of an oriented graph is a homomorphism, injective
 in the flavour's sense, to some tournament on k vertices (reflexive for
 the improper flavours, loopless for the proper one).  The chromatic
 number is the least such k.  Targets are enumerated from a catalogue of
-tournaments up to isomorphism, which keeps the search tiny through k=6.
+tournaments up to isomorphism, which keeps the search tiny through k=6,
+and a tournament without room for the input's vertex degrees is skipped
+without a search.
 """
 
 from __future__ import annotations
@@ -21,19 +23,32 @@ TOURNAMENT_CAP = 6
 
 
 def canonical_tournament_key(g: OrientedGraph) -> int:
-    """Isomorphism-invariant integer key: minimum over all vertex
-    relabellings of the upper-triangle orientation bitmap."""
+    """Isomorphism-invariant integer key: the minimum of the
+    upper-triangle orientation bitmap over the vertex orders that sort
+    the vertices by score (out-degree), ties broken by the sorted scores
+    of their out-neighbours.
+
+    Both sort keys are invariants, so every isomorphism maps this set of
+    orders onto the other tournament's, and the minimum is still a
+    complete invariant; only vertices with equal keys are permuted among
+    themselves (the refinement idea of McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Computation 60, 2014)."""
     if not is_tournament(g):
         raise ValueError("key is defined for tournaments only")
+    score = [len(out) for out in g.out_nbrs]
+    invariant = [(score[v], sorted(score[w] for w in g.out_nbrs[v])) for v in range(g.n)]
+    ranked = sorted(range(g.n), key=invariant.__getitem__)
+    classes = [tuple(c) for _, c in itertools.groupby(ranked, key=invariant.__getitem__)]
     pairs = list(itertools.combinations(range(g.n), 2))
     best = None
-    for perm in itertools.permutations(range(g.n)):
+    for parts in itertools.product(*map(itertools.permutations, classes)):
+        perm = [v for part in parts for v in part]
         code = 0
         for u, v in pairs:
             code = (code << 1) | (1 if g.has_arc(perm[u], perm[v]) else 0)
         if best is None or code < best:
             best = code
-    return best if best is not None else 0
+    return best
 
 
 @lru_cache(maxsize=None)
@@ -60,8 +75,42 @@ def enumerate_tournaments(k: int) -> tuple:
     return tuple(t for _, t in sorted(found.items()))
 
 
-def _reflexive_copy(t: OrientedGraph) -> OrientedGraph:
-    return OrientedGraph(t.n, t.arcs, reflexive=True)
+@lru_cache(maxsize=None)
+def _reflexive_tournaments(k: int) -> tuple:
+    """Reflexive copies of the catalogue's k-vertex tournaments, the
+    targets of both improper flavours; built once per process."""
+    return tuple(OrientedGraph(t.n, t.arcs, True) for t in enumerate_tournaments(k))
+
+
+@lru_cache(maxsize=None)
+def _targets(k: int, reflexive: bool, mode: Mode) -> tuple:
+    """A flavour's k-vertex targets, each with its room in the mode."""
+    targets = _reflexive_tournaments(k) if reflexive else enumerate_tournaments(k)
+    return tuple((h, _room(h, mode)) for h in targets)
+
+
+def _room(h: OrientedGraph, mode: Mode) -> frozenset:
+    """For each vertex a of h, the most out-neighbours, in-neighbours and
+    neighbours in all that an input vertex mapped to a can have in an ios
+    or iot homomorphism: they take distinct out-neighbours of a,
+    distinct in-neighbours of a and, in iot, distinct vertices of a's
+    whole neighbourhood (a itself counts once, if h has loops)."""
+    loop = int(h.reflexive)
+    outs = [loop] * h.n
+    ins = [loop] * h.n
+    for a, b in h.arcs:
+        outs[a] += 1
+        ins[b] += 1
+    return frozenset((o, i, o + i - loop if mode is Mode.IOT else o + i) for o, i in zip(outs, ins))
+
+
+def _degrees_fit(need, room) -> bool:
+    """False when some (out-degree, in-degree) pair in need fits in no
+    vertex's room, so that no homomorphism from a graph with those
+    degrees exists; True says nothing."""
+    return all(any(d_out <= outs and d_in <= ins and d_out + d_in <= both
+                   for outs, ins, both in room)
+               for d_out, d_in in need)
 
 
 class ChiCapError(ValueError):
@@ -94,10 +143,12 @@ def chi(g: OrientedGraph, flavour: str) -> ChiResult:
     if g.reflexive:
         raise ValueError("chromatic numbers are for irreflexive inputs")
     mode, reflexive = flavour_settings(flavour)
+    need = {(len(out), len(ins)) for out, ins in zip(g.out_nbrs, g.in_nbrs)}
     start = 0 if g.n == 0 else 1
     for k in range(start, TOURNAMENT_CAP + 1):
-        for t in enumerate_tournaments(k):
-            target = _reflexive_copy(t) if reflexive else t
+        for target, room in _targets(k, reflexive, mode):
+            if not _degrees_fit(need, room):
+                continue
             res = solve(g, target, mode)
             if res.satisfiable:
                 return ChiResult(k, target, res.witness.map)

@@ -138,69 +138,6 @@ def max_degrees(g: OrientedGraph) -> tuple:
     return (max(d for d, _ in ds), max(d for _, d in ds))
 
 
-class ShapeKind(enum.Enum):
-    ISOLATED_VERTEX = "isolated-vertex"
-    SINGLE_ARC = "single-arc"
-    DIRECTED_PATH = "directed-path"
-    DIRECTED_CYCLE = "directed-cycle"
-    UNDERLYING_PATH = "underlying-path"
-    UNDERLYING_CYCLE = "underlying-cycle"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class ComponentShape:
-    kind: ShapeKind
-    vertices: tuple
-    cycle_length: int | None = None
-
-
-def component_shapes(g: OrientedGraph) -> list:
-    """Classify each weak component of g.
-
-    "directed" path/cycle means every arc points the same way along the
-    walk (equivalently in- and out-degree at most 1 inside the component);
-    the "underlying-" kinds cover other orientations of paths and cycles.
-    Anything with an underlying degree-3 vertex is OTHER.
-    """
-    seen = [False] * g.n
-    shapes = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.underlying_nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comp.sort()
-        shapes.append(_classify_component(g, comp))
-    return shapes
-
-
-def _classify_component(g: OrientedGraph, comp: list) -> ComponentShape:
-    verts = tuple(comp)
-    if len(comp) == 1:
-        return ComponentShape(ShapeKind.ISOLATED_VERTEX, verts)
-    if len(comp) == 2:
-        return ComponentShape(ShapeKind.SINGLE_ARC, verts)
-    und_deg = {v: len(g.underlying_nbrs[v]) for v in comp}
-    if any(d > 2 for d in und_deg.values()):
-        return ComponentShape(ShapeKind.OTHER, verts)
-    ends = [v for v in comp if und_deg[v] == 1]
-    one_way = all(g.in_degree(v) <= 1 and g.out_degree(v) <= 1 for v in comp)
-    if ends:  # a path
-        kind = ShapeKind.DIRECTED_PATH if one_way else ShapeKind.UNDERLYING_PATH
-        return ComponentShape(kind, verts)
-    kind = ShapeKind.DIRECTED_CYCLE if one_way else ShapeKind.UNDERLYING_CYCLE
-    return ComponentShape(kind, verts, cycle_length=len(comp))
-
-
 # --- small constructors used throughout tests and demos ---
 
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -7,6 +9,8 @@ from injhom.chromatic import (
     ChiCapError,
     ChiResult,
     TOURNAMENT_CAP,
+    _degrees_fit,
+    _room,
     canonical_tournament_key,
     check_Um_forcing,
     chi,
@@ -16,6 +20,7 @@ from injhom.chromatic import (
 from injhom.graphs import (
     Mode,
     OrientedGraph,
+    all_oriented_graphs,
     directed_cycle,
     directed_path,
     edgeless,
@@ -23,7 +28,8 @@ from injhom.graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from injhom.solver import check_hom
+from injhom import solver
+from injhom.solver import check_hom, solve
 from injhom.targets import build_named
 
 
@@ -40,8 +46,8 @@ def test_catalogue_members_are_tournaments():
 
 
 def test_catalogue_covers_all_orientations():
-    # every way of orienting K_k appears up to isomorphism, k <= 4
-    for k in range(1, 5):
+    # every way of orienting K_k appears up to isomorphism, k <= 5
+    for k in range(1, 6):
         keys = {canonical_tournament_key(t) for t in enumerate_tournaments(k)}
         pairs = list(itertools.combinations(range(k), 2))
         for pattern in range(1 << len(pairs)):
@@ -53,13 +59,16 @@ def test_catalogue_covers_all_orientations():
 
 
 def test_canonical_key_relabelling_invariance():
+    # every 6-vertex class, so vertices with equal score and equal
+    # out-neighbour scores get permuted among themselves
     rng = random.Random(9)
-    t = enumerate_tournaments(5)[7]
-    for _ in range(10):
-        perm = list(range(5))
-        rng.shuffle(perm)
-        relabelled = OrientedGraph(5, [(perm[u], perm[v]) for u, v in t.arcs])
-        assert canonical_tournament_key(relabelled) == canonical_tournament_key(t)
+    for t in enumerate_tournaments(6):
+        key = canonical_tournament_key(t)
+        for _ in range(10):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            relabelled = OrientedGraph(6, [(perm[u], perm[v]) for u, v in t.arcs])
+            assert canonical_tournament_key(relabelled) == key, t
 
 
 def test_canonical_key_rejects_non_tournaments():
@@ -123,6 +132,58 @@ def test_chi_witness_is_valid_and_minimal():
                 for t in smaller:
                     target = OrientedGraph(t.n, t.arcs, reflexive=True) if reflexive else t
                     assert not solve(g, target, mode).satisfiable
+
+
+def test_degree_filter_rejects_only_targets_without_homs():
+    # every target the filter rejects has no homomorphism, by brute force
+    rng = random.Random(21)
+    graphs = [g for n in range(5) for g in all_oriented_graphs(n)]
+    graphs += [random_oriented_graph(rng.choice((5, 6)), rng, 0.5) for _ in range(12)]
+    rejected = 0
+    for g in graphs:
+        need = {(g.out_degree(v), g.in_degree(v)) for v in range(g.n)}
+        for k in range(1, 5):
+            for t in enumerate_tournaments(k):
+                for reflexive in (False, True):
+                    h = OrientedGraph(k, t.arcs, reflexive)
+                    for mode in (Mode.IOS, Mode.IOT):
+                        if _degrees_fit(need, _room(h, mode)):
+                            continue
+                        rejected += 1
+                        assert not any(
+                            check_hom(g, h, f, mode)
+                            for f in itertools.product(range(k), repeat=g.n)
+                        ), (g, h, mode)
+    assert rejected > 0
+
+
+def test_graph_side_built_once_per_mode(monkeypatch):
+    built = []
+    original = solver._build_graph_side
+
+    def counting(g, mode):
+        built.append(mode)
+        return original(g, mode)
+
+    monkeypatch.setattr(solver, "_build_graph_side", counting)
+    g = random_oriented_graph(8, random.Random(5), arc_chance=0.5)
+    for flavour in ("proper-ios", "improper-ios", "improper-iot"):
+        chi(g, flavour)
+    solve(g, build_named("T3r"), Mode.IOS)
+    assert built == [Mode.IOS, Mode.IOT]
+
+
+def test_graph_side_dies_with_its_graph():
+    # a side kept past its graph would hold a large input's constraint
+    # tables into the next operation
+    g = OrientedGraph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
+    solve(g, build_named("U4"), Mode.IOT)
+    chi(g, "improper-ios")
+    assert g in solver._GRAPH_SIDES
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_chi_cap_error():

@@ -3,9 +3,7 @@ import pytest
 from injhom.graphs import (
     Mode,
     OrientedGraph,
-    ShapeKind,
     all_oriented_graphs,
-    component_shapes,
     converse,
     directed_cycle,
     directed_path,
@@ -90,36 +88,6 @@ def test_find_hats():
 def test_find_hats_includes_out_pairs():
     g = OrientedGraph(3, [(1, 0), (1, 2)])
     assert protected_pairs(g, Mode.IOS) == [(0, 2)]
-
-
-def test_component_shapes_directed_path():
-    shapes = component_shapes(directed_path(4))
-    assert len(shapes) == 1
-    assert shapes[0].kind is ShapeKind.DIRECTED_PATH
-
-
-def test_component_shapes_cycle_length():
-    shapes = component_shapes(directed_cycle(6))
-    assert shapes[0].kind is ShapeKind.DIRECTED_CYCLE
-    assert shapes[0].cycle_length == 6
-
-
-def test_component_shapes_mixed():
-    g = OrientedGraph(6, [(0, 1), (2, 1), (4, 5)])  # hat + arc + isolated
-    kinds = sorted(s.kind.name for s in component_shapes(g))
-    assert kinds == ["ISOLATED_VERTEX", "SINGLE_ARC", "UNDERLYING_PATH"]
-
-
-def test_component_shapes_underlying_cycle():
-    g = OrientedGraph(4, [(0, 1), (2, 1), (2, 3), (0, 3)])  # alternating 4-cycle
-    shapes = component_shapes(g)
-    assert shapes[0].kind is ShapeKind.UNDERLYING_CYCLE
-    assert shapes[0].cycle_length == 4
-
-
-def test_component_shapes_other():
-    g = OrientedGraph(4, [(0, 1), (0, 2), (0, 3)])
-    assert component_shapes(g)[0].kind is ShapeKind.OTHER
 
 
 def test_constructors():
