@@ -7,6 +7,7 @@ Subcommands: decide, solve, gadget, reduce, chi, verify.  Exit status is
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .chromatic import ChiCapError, chi
@@ -142,7 +143,7 @@ _REDUCE_KINDS = {
 
 def _provenance_lines(inst: ReductionInstance) -> list:
     lines = []
-    for key in sorted(inst.provenance, key=lambda k: (k[0], k[1] if k[0] == "vertex" else k[1])):
+    for key in sorted(inst.provenance):
         kind, ident = key
         head = f"vertex {ident}" if kind == "vertex" else f"edge {ident[0]}-{ident[1]}"
         roles = inst.provenance[key]
@@ -196,7 +197,10 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call to main gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="injhom",
         description="Locally-injective homomorphisms of oriented graphs to small tournaments.")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .graphs import Mode, OrientedGraph
 from .solver import Homomorphism, solve
-from .targets import TargetSpec, build_named
+from .targets import TargetSpec
 
 
 @dataclass
@@ -39,12 +39,6 @@ def _branches(g: OrientedGraph) -> bool:
 
 
 # --- transfer DP over components of underlying degree <= 2 ---
-
-
-def _resolve_target(target) -> OrientedGraph:
-    if isinstance(target, OrientedGraph):
-        return target
-    return build_named(target)
 
 
 def _tables(h: OrientedGraph) -> tuple:
@@ -112,32 +106,11 @@ def _walk_away(nbrs, start, cur) -> list:
     return walk
 
 
-def decide_degree2_dp(g: OrientedGraph, target, mode: Mode) -> PolyVerdict:
-    """Transfer DP deciding mode-injective maps from a graph whose
-    underlying degrees are at most 2 into an arbitrary fixed target.
-
-    States are image pairs of consecutive walk vertices; the only local
-    constraint beyond arc preservation is whether a vertex's two walk
-    neighbours must take different images.  Inputs with an underlying
-    degree-3 vertex are rejected as invalid.
-    """
-    if g.reflexive:
-        raise ValueError("the transfer DP takes irreflexive inputs")
-    if _branches(g):
-        raise ValueError("underlying degree exceeds 2")
-    return _degree2_verdict(g, _resolve_target(target), mode, "degree2-dp")
-
-
-def _degree2_verdict(g, h, mode, algorithm) -> PolyVerdict:
-    images = _walk_images(g, h, mode)
-    if images is None:
-        return PolyVerdict(False, None, algorithm)
-    return PolyVerdict(True, Homomorphism(tuple(images), mode), algorithm)
-
-
 def _walk_images(g, h, mode):
     """An image per vertex of g, or None when no mode-injective map to h
-    exists; g has underlying degree <= 2."""
+    exists; g has underlying degree <= 2.  The DP's states are image pairs
+    of consecutive walk vertices: beyond arc preservation, the only local
+    constraint is whether a vertex's two walk neighbours must differ."""
     if g.n and h.n == 0:
         return None
     arcs, table = _tables(h)
@@ -250,7 +223,9 @@ def decide_poly(g: OrientedGraph, target, mode: Mode):
         return None
     label = _LABELS.get((spec.name, mode))
     if not _branches(g):
-        return _degree2_verdict(g, spec.build(), mode, label or "degree2-dp")
+        images = _walk_images(g, spec.build(), mode)
+        witness = Homomorphism(tuple(images), mode) if images is not None else None
+        return PolyVerdict(images is not None, witness, label or "degree2-dp")
     if label is None:
         return None
     if (spec.name, mode) != ("T2r", Mode.IOS):

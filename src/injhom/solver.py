@@ -11,10 +11,11 @@ arc neighbour may take are read from tables indexed by domain mask.
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
 by the interpreter's recursion limit and no node copies the domains.
-Deciding (stopping at the first solution) also solves the parts that the
-decided vertices split the rest into one at a time, and a part without a
-solution fails the decision that split it off; enumeration keeps the
-plain chronological order.
+Deciding and enumerating run the same loop.  Deciding (stopping at the
+first solution) also solves the parts that the decided vertices split
+the rest into one at a time, and a part without a solution fails the
+decision that split it off; enumeration is that loop without splits or
+backjumps, in the plain chronological order.
 
 Reflexive input graphs are accepted: a loop puts the vertex inside its
 own neighbourhoods (so its image must differ from its protected
@@ -281,96 +282,59 @@ class _Csp:
             return None
         return dom
 
-    def solutions(self) -> Iterator[tuple]:
-        """Depth-first search on an explicit stack of frames.
+    def solutions(self, first_only=False) -> Iterator[tuple]:
+        """The solutions, depth-first on an explicit stack of frames.
 
         Domains live in one list.  Every change is logged on a trail, and
         backtracking undoes the trail to the frame's mark, so no node
         copies the domains.  A frame holds its branch vertex, the values
-        not yet tried there, its trail mark, the node's frontier and a
-        lower bound on the lowest undecided index.
+        not yet tried there, its trail mark, the node's frontier, a lower
+        bound on the lowest undecided index, a backjump target (the index
+        of the frame to resume when this one runs out of values) and the
+        agenda of parts still to solve, a linked list of (frontier,
+        backjump target, rest of the agenda) shared between frames.
+
+        Enumeration resumes the parent of every frame that runs out of
+        values: the chronological order.  A search for the first solution
+        only (first_only) works part by part.  Once propagation is at its
+        fixpoint, a constraint between a decided and an undecided vertex is
+        unary, so undecided vertices joined only through decided ones share
+        no constraint.  When a decision splits the undecided part it was
+        made in, the parts are solved one after another, and a part whose
+        first frame runs out of values fails the decision that split it
+        off, past the frames of the parts solved before; a component that
+        no decision touches fails the whole search.  The first part taken
+        holds the frontier vertex enumeration would branch on, so an input
+        that never splits is searched exactly as there.  After the first
+        solution such a search may skip others.
+
+        Against a target of at most two vertices every undecided domain is
+        the whole target, so once propagation settles, the constraints left
+        among undecided vertices are some of the input's own: a part
+        without a solution means the input has none, and a first-only
+        search fails every frame back to the root.  No decision that
+        propagated cleanly is retried, so it takes at most two nodes per
+        vertex; this is how it decides 2-SAT (Even, Itai & Shamir, SIAM J.
+        Comput. 5(4), 1976).
         """
-        if self.g.n == 0:
+        n = self.g.n
+        if n == 0:
             yield ()
             return
         dom = self._root()
         if dom is None:
             return
-        trail = []
-        nbrs = self.constraint_nbrs
-        decided = [v for v in range(self.g.n) if dom[v] & (dom[v] - 1) == 0]
-        best, front, low_free = _next_branch(dom, nbrs, set(), decided, 0)
-        if best < 0:
-            yield tuple(d.bit_length() - 1 for d in dom)
-            return
-        frames = [[best, dom[best], 0, front, low_free]]
-        while frames:
-            frame = frames[-1]
-            best, untried, mark, front, low_free = frame
-            if len(trail) > mark:
-                for v, old in reversed(trail[mark:]):
-                    dom[v] = old
-                del trail[mark:]
-            if not untried:
-                frames.pop()
-                continue
-            value = untried & -untried
-            frame[1] = untried ^ value
-            self.nodes += 1
-            trail.append((best, dom[best]))
-            dom[best] = value
-            if not self._propagate(dom, [best], trail):
-                continue
-            decided = [w for w, _ in trail[mark:] if dom[w] & (dom[w] - 1) == 0]
-            best, front, low_free = _next_branch(dom, nbrs, front, decided, low_free)
-            if best < 0:
-                yield tuple(d.bit_length() - 1 for d in dom)
-            else:
-                frames.append([best, dom[best], len(trail), front, low_free])
-
-    def first(self) -> tuple | None:
-        """The first solution found by a search that works part by part,
-        or None when there is none.
-
-        Once propagation is at its fixpoint, a constraint between a
-        decided and an undecided vertex is unary, so undecided vertices
-        joined only through decided ones share no constraint.  When a
-        decision splits the undecided part it was made in, the parts are
-        solved one after another, and a part whose first frame runs out of
-        values fails the decision that split it off: the search resumes at
-        that decision's frame, past the frames of the parts solved before.
-
-        Frames are those of solutions() plus a backjump target (the index
-        of the frame to resume when this one runs out of values) and the
-        agenda of parts still to solve, a linked list of (frontier,
-        backjump target, rest of the agenda) shared between frames.  The
-        first part taken is the one holding the frontier vertex that
-        solutions() would branch on, so an input that never splits is
-        searched exactly as there.
-
-        Against a target of at most two vertices every undecided domain is
-        the whole target, so once propagation settles, the constraints left
-        among undecided vertices are some of the input's own: a part
-        without a solution means the input has none, and every frame fails
-        back to the root.  No decision that propagated cleanly is retried,
-        so the search takes at most two nodes per vertex; this is how it
-        decides 2-SAT (Even, Itai & Shamir, SIAM J. Comput. 5(4), 1976).
-        """
-        n = self.g.n
-        if n == 0:
-            return ()
-        dom = self._root()
-        if dom is None:
-            return None
         self._owner = [0] * n
         self._next_id = 1
+        self._first_only = first_only
         trail = []
         decided = [v for v in range(n) if dom[v] & (dom[v] - 1) == 0]
         frame = self._next_frame(dom, set(), decided, None, -1, 0, 0)
         if frame is None:
-            return tuple(d.bit_length() - 1 for d in dom)
+            yield tuple(d.bit_length() - 1 for d in dom)
+            return
         frames = [frame]
-        two_valued = self.h.n <= 2
+        to_root = first_only and self.h.n <= 2
         while frames:
             frame = frames[-1]
             best, untried, mark, front, low_free, back, agenda = frame
@@ -389,27 +353,29 @@ class _Csp:
             if not self._propagate(dom, [best], trail):
                 continue
             decided = [w for w, _ in trail[mark:] if dom[w] & (dom[w] - 1) == 0]
-            at = -1 if two_valued else len(frames) - 1
+            at = -1 if to_root else len(frames) - 1
             frame = self._next_frame(dom, front, decided, agenda, at, low_free, len(trail))
             if frame is None:
-                return tuple(d.bit_length() - 1 for d in dom)
-            frames.append(frame)
-        return None
+                yield tuple(d.bit_length() - 1 for d in dom)
+            else:
+                frames.append(frame)
 
     def _next_frame(self, dom, front, decided, agenda, at, low_free, mark):
         """The frame that follows frame at's decision, or None when every
         vertex is decided; at is -1 for the root and mark is the trail
         length.
 
-        The frontier grows as in solutions().  When the decision has two
-        or more undecided neighbours, the parts they fall into are split
-        off: the part holding the best frontier vertex is searched now and
-        the others go on the agenda, each to fail back to frame at.  A part
-        with no frontier left is solved, and the agenda gives the next one.
-        With the agenda empty, only components that nothing decided
-        touches are left, which no decision can affect: the lowest
-        undecided index starts the next, failing the whole search if it
-        has no solution.
+        The frontier holds the undecided vertices with a decided
+        constraint-neighbour: the parent's less what is now decided, plus
+        the undecided neighbours of what is.  In a first-only search, when
+        the decision has two or more undecided neighbours, the parts they
+        fall into are split off: the part holding the best frontier vertex
+        is searched now and the others go on the agenda, each to fail back
+        to frame at.  A part with no frontier left is solved, and the
+        agenda gives the next one.  With the agenda empty, only components
+        that nothing decided touches are left: the lowest undecided index
+        starts the next, failing back to frame at, or to the root in a
+        first-only search.
         """
         nbrs = self.constraint_nbrs
         front = front.difference(decided)
@@ -422,7 +388,7 @@ class _Csp:
         back = at
         if front:
             best = _best(dom, front)
-            if len(seeds) > 1:
+            if len(seeds) > 1 and self._first_only:
                 parts = []
                 for part in self._split(dom, seeds):
                     part_front = front.intersection(part)
@@ -442,7 +408,9 @@ class _Csp:
             low_free = _lowest_free(dom, low_free)
             if low_free == len(dom):
                 return None
-            best, back = low_free, -1
+            best = low_free
+            if self._first_only:
+                back = -1
         return [best, dom[best], mark, front, low_free, back, agenda]
 
     def _split(self, dom, seeds) -> list:
@@ -541,30 +509,6 @@ def _lowest_free(dom, low_free) -> int:
     return low_free
 
 
-def _next_branch(dom, nbrs, front, decided, low_free) -> tuple:
-    """The vertex to branch on next, the node's frontier and the advanced
-    lowest-undecided bound, given the parent's frontier and the vertices
-    decided since.
-
-    The frontier holds the undecided vertices with a decided
-    constraint-neighbour: the parent's less what is now decided, plus the
-    undecided neighbours of what is.  The vertex is the best frontier
-    vertex or, with no frontier, the lowest undecided index, which seeds
-    the next component; it is -1 when all are decided.
-    """
-    front = front.difference(decided)
-    for w in decided:
-        for x in nbrs[w]:
-            if dom[x] & (dom[x] - 1):
-                front.add(x)
-    best = _best(dom, front)
-    if best < 0:
-        low_free = _lowest_free(dom, low_free)
-        if low_free < len(dom):
-            best = low_free
-    return best, front, low_free
-
-
 @functools.lru_cache(maxsize=256)
 def _target_tables(h: OrientedGraph) -> tuple:
     """Mask tables of one target: supports (the values an arc neighbour
@@ -635,7 +579,7 @@ def solve(g, h, mode: Mode, pins=None) -> SolveResult:
     """Decide mode-injective homomorphisms from g to h; the witness is the
     first one the part-by-part search finds."""
     csp = _Csp(g, h, mode, pins)
-    first = csp.first()
+    first = next(csp.solutions(first_only=True), None)
     witness = Homomorphism(first, mode) if first is not None else None
     return SolveResult(
         satisfiable=first is not None,

@@ -43,9 +43,6 @@ class TargetSpec:
     def build(self) -> OrientedGraph:
         return build_named(self)
 
-    def labels(self) -> list:
-        return target_labels(self)
-
     def describe(self) -> str:
         if self.name is not None:
             return self.name

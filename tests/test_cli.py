@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from injhom.cli import main
 from injhom.fileformat import format_edge_list, format_undirected_edge_list, parse_edge_list
-from injhom.graphs import OrientedGraph, directed_cycle, directed_path
+from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph
 from injhom.reductions import SimpleGraph, complete_graph, reduce_3edge_to_t3r
 
 
@@ -106,6 +108,17 @@ def test_solve_with_pin(write, capsys):
     code, out, _ = run(capsys, "solve", path, "C3r", "ios", "--pin", "0=c2")
     assert code == 0
     assert out.splitlines()[1] == "0 -> c2"
+
+
+def test_parser_reuse_keeps_no_pins(write, capsys):
+    # main reuses one parser; a pin given to one call must not reach the next
+    path = write("c3.txt", format_edge_list(directed_cycle(3)))
+    _, unpinned, _ = run(capsys, "solve", path, "C3r", "ios")
+    code, pinned, _ = run(capsys, "solve", path, "C3r", "ios", "--pin", "0=c2")
+    assert code == 0 and pinned.splitlines()[1] == "0 -> c2"
+    code, again, _ = run(capsys, "solve", path, "C3r", "ios")
+    assert code == 0 and again == unpinned
+    assert again.splitlines()[1] != "0 -> c2"
 
 
 def test_solve_unsat_exit(write, capsys):
@@ -244,3 +257,81 @@ def test_unknown_target_message(write, capsys):
     code, _, err = run(capsys, "decide", path, "T9", "ios")
     assert code == 2
     assert "expected T1|T2|T3|C3|U<m> with optional r suffix" in err
+
+
+def _mutate(rng, text: bytes) -> bytes:
+    """One random corruption of an edge-list file."""
+    lines = text.split(b"\n")
+    i = rng.randrange(len(lines))
+    header = next((k for k, line in enumerate(lines) if line and not line.startswith(b"#")), i)
+    op = rng.randrange(7)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 3:
+        digits = [k for k, c in enumerate(text) if c in b"0123456789"]
+        if digits:
+            k = rng.choice(digits)
+            return text[:k] + str(rng.randrange(10)).encode() + text[k + 1:]
+    elif op == 4:
+        tokens = lines[header].split()
+        k = rng.randrange(len(tokens) + 1)
+        junk = rng.choice((b"x", b"-1", b"", b"3.5", b"1e2", b"reflexive", b"0 0", b"007"))
+        lines[header] = b" ".join(tokens[:k] + [junk] + tokens[k + 1:])
+    elif op == 5:
+        if lines[header].endswith(b" reflexive"):
+            lines[header] = lines[header][:-len(b" reflexive")]
+        else:
+            lines[header] += b" reflexive"
+    else:
+        k = rng.randrange(len(text) + 1)
+        return text[:k] + rng.choice((b"\xff", b"\x80\x80", b"\xc3", b"\xfe\xff")) + text[k:]
+    return b"\n".join(lines)
+
+
+def test_mutated_files_give_documented_exit_codes(tmp_path, capsys):
+    # edge lists and @file targets with dropped, repeated and swapped
+    # lines, flipped digits, broken headers, a reflexive flag added or
+    # removed and bytes that are not UTF-8: every command answers or
+    # reports an input error, and none raises
+    rng = random.Random(61)
+    graph_path = tmp_path / "g.txt"
+    target_path = tmp_path / "t.txt"
+    out_path = str(tmp_path / "out.txt")
+    named = ("C3", "T3r", "U4", "T2r", "C3r")
+    for trial in range(300):
+        n = rng.randint(1, 10) if trial % 4 else rng.randint(11, 50)
+        g = random_oriented_graph(n, rng, arc_chance=min(0.4, 2.5 / n))
+        if rng.random() < 0.2:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        text = format_edge_list(g, comments=["fuzz"] if rng.random() < 0.3 else ()).encode()
+        k = rng.randint(1, 4)
+        t = random_oriented_graph(k, rng, arc_chance=1.0)
+        target = format_edge_list(OrientedGraph(k, t.arcs, reflexive=rng.random() < 0.5)).encode()
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                text = _mutate(rng, text)
+            else:
+                target = _mutate(rng, target)
+        graph_path.write_bytes(text)
+        target_path.write_bytes(target)
+        g_arg = str(graph_path)
+        t_arg = rng.choice(named + ("@" + str(target_path),) * 3)
+        mode = rng.choice(("plain", "ios", "iot"))
+        commands = [
+            ["decide", g_arg, t_arg, mode],
+            ["solve", g_arg, t_arg, mode, "--pin", f"{rng.randrange(3)}={rng.randrange(3)}"],
+            ["solve", g_arg, t_arg, mode, "--enumerate", "--limit", "3"],
+            ["reduce", rng.choice(("3col-to-iot-c3r", "3edge-to-t3r", "ios-c3r-to-umr")), g_arg,
+             "--out", out_path],
+        ]
+        if n <= 10:
+            commands.append(["chi", g_arg, rng.choice(("proper-ios", "improper-ios", "improper-iot"))])
+        for argv in commands:
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 1, 2), (argv, text, target, code)

@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from injhom.graphs import (
     Mode,
     OrientedGraph,
@@ -16,7 +14,7 @@ from injhom.graphs import (
 )
 from injhom.cli import main
 from injhom.fileformat import format_edge_list
-from injhom.poly import decide_degree2_dp, decide_poly
+from injhom.poly import decide_poly
 from injhom.solver import check_hom, solve
 from injhom.targets import build_named
 
@@ -125,11 +123,12 @@ def test_t3_tournament_itself():
 
 
 def test_degree2_dp_generic_target():
-    got = decide_degree2_dp(directed_cycle(6), "C3", Mode.IOS)
-    assert got.satisfiable
+    got = decide_poly(directed_cycle(6), "C3", Mode.IOS)
+    assert got.satisfiable and got.algorithm == "path-cycle-mod3"
     assert check_hom(directed_cycle(6), build_named("C3"), got.witness.map, Mode.IOS)
-    with pytest.raises(ValueError):
-        decide_degree2_dp(OrientedGraph(4, [(0, 1), (0, 2), (0, 3)]), "C3", Mode.IOS)
+    # a branching input is a no by the degree rule, not a DP input
+    got = decide_poly(OrientedGraph(4, [(0, 1), (0, 2), (0, 3)]), "C3", Mode.IOS)
+    assert not got.satisfiable and got.algorithm == "path-cycle-mod3"
 
 
 def test_degree2_dp_matches_solver_random():
@@ -143,7 +142,8 @@ def test_degree2_dp_matches_solver_random():
         trials += 1
         name = targets[trials % 3]
         for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
-            got = decide_degree2_dp(g, name, mode)
+            got = decide_poly(g, name, mode)
+            assert got.algorithm == "degree2-dp"
             want = solve(g, build_named(name), mode).satisfiable
             assert got.satisfiable == want
             if got.satisfiable:

@@ -16,7 +16,7 @@ from injhom.graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from injhom.poly import decide_degree2_dp
+from injhom.poly import decide_poly
 from injhom.reductions import (
     SimpleGraph,
     bridged_cubic_graph,
@@ -155,7 +155,7 @@ def test_decision_on_split_inputs_matches_naive():
             g = glued_at_cut_vertex(a, random_oriented_graph(n - k + 1, rng, arc_chance=0.5))
         for mode in MODES:
             csp = SplitCounter(g, h, mode)
-            first = csp.first()
+            first = next(csp.solutions(first_only=True), None)
             want = any(check_hom(g, h, f, mode) for f in itertools.product(range(h.n), repeat=g.n))
             assert (first is not None) == want, (g, h, mode)
             if first is not None:
@@ -527,7 +527,9 @@ def test_search_scales_to_ten_thousand_vertices():
         for h in (C3r, T3r, U4):
             for mode in MODES:
                 res = solve(g, h, mode)
-                assert res.satisfiable == decide_degree2_dp(g, h, mode).satisfiable, (h, mode)
+                verdict = decide_poly(g, h, mode)
+                assert verdict.algorithm == "degree2-dp", (h, mode)
+                assert res.satisfiable == verdict.satisfiable, (h, mode)
                 if res.satisfiable:
                     assert check_hom(g, h, res.witness.map, mode)
     # a frontier of 10^4 leaves: each leaf is a part of its own
