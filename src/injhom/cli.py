@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from .chromatic import ChiCapError, chi
@@ -52,10 +53,13 @@ def _resolve_target(text: str) -> TargetSpec:
     return TargetSpec.parse(text)
 
 
+def _write_map(images) -> None:
+    """One 'v -> image' line per vertex v, in one write."""
+    sys.stdout.write("".join(map("{} -> {}\n".format, itertools.count(), images)))
+
+
 def _print_witness(spec: TargetSpec, witness) -> None:
-    labels = target_labels(spec)
-    for v, img in enumerate(witness):
-        print(f"{v} -> {labels[img]}")
+    _write_map(map(target_labels(spec).__getitem__, witness))
 
 
 def _cmd_decide(args) -> int:
@@ -182,8 +186,7 @@ def _cmd_chi(args) -> int:
     arcs = " ".join(f"{u}->{v}" for u, v in sorted(result.tournament.arcs))
     print(f"tournament: {arcs if arcs else '(edgeless)'}"
           + (" (reflexive)" if result.tournament.reflexive else ""))
-    for v, img in enumerate(result.witness):
-        print(f"{v} -> {img}")
+    _write_map(result.witness)
     return 0
 
 

@@ -5,10 +5,17 @@ lines anywhere, a header ``n m`` optionally followed by the word
 ``reflexive``, then exactly m lines ``u v`` of 0-based arc endpoints.
 The same layout doubles for undirected graphs, where each line is an
 edge and the reflexive token is not allowed.
+
+The body is checked in bulk: split into rows once, converted a column
+at a time, and checked for range, loops, repeats and opposite arcs with
+min/max and set operations.  A body that fails the bulk check is read
+again line by line; that loop reports the first bad line.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
 from typing import Iterable
 
 from .graphs import OrientedGraph
@@ -22,8 +29,8 @@ class EdgeListError(ValueError):
         self.lineno = lineno
 
 
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _data_lines(lines, start: int = 1):
+    for lineno, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -50,7 +57,31 @@ def _parse_header(lineno: int, line: str, allow_reflexive: bool):
     return n, m, reflexive
 
 
+def _bulk_arcs(body, n: int, m: int):
+    """The body's arcs as a frozenset of (u, v), checked a column at a
+    time; None when any check fails, and then _parse_body names the line."""
+    rows = [row for row in map(str.split, body) if row and row[0][0] != "#"]
+    if len(rows) != m or set(map(len, rows)) - {2}:
+        return None
+    if not m:
+        return frozenset()
+    tokens = list(chain.from_iterable(rows))
+    try:
+        us = list(map(int, tokens[0::2]))
+        vs = list(map(int, tokens[1::2]))
+    except ValueError:
+        return None
+    arcs = frozenset(zip(us, vs))
+    if (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
+            or any(map(operator.eq, us, vs)) or len(arcs) != m
+            or not arcs.isdisjoint(zip(vs, us))):
+        return None
+    return arcs
+
+
 def _parse_body(lines, n: int, m: int, directed: bool):
+    """The line-by-line check: raises EdgeListError at the first bad line
+    of lines, a stream of (lineno, stripped line); returns the arcs."""
     pairs = []
     seen = set()
     for lineno, line in lines:
@@ -73,35 +104,39 @@ def _parse_body(lines, n: int, m: int, directed: bool):
             kind = "opposite arc" if directed else "duplicate edge"
             raise EdgeListError(lineno, f"{kind} {v} {u} already given")
         seen.add((u, v))
-        pairs.append((u, v, lineno))
+        pairs.append((u, v))
     if len(pairs) != m:
         raise EdgeListError(0, f"expected {m} arcs but file has {len(pairs)}")
-    return pairs
+    return frozenset(pairs)
+
+
+def _parse(text: str, allow_reflexive: bool, directed: bool):
+    """(n, arcs, reflexive) of an edge-list text.  The body is checked in
+    bulk; the line loop runs only on a body that the bulk check rejects."""
+    lines = text.splitlines()
+    for lineno, line in _data_lines(lines):
+        n, m, reflexive = _parse_header(lineno, line, allow_reflexive)
+        break
+    else:
+        raise EdgeListError(0, "empty input: missing header")
+    body = lines[lineno:]
+    arcs = _bulk_arcs(body, n, m)
+    if arcs is None:
+        arcs = _parse_body(_data_lines(body, lineno + 1), n, m, directed)
+    return n, arcs, reflexive
 
 
 def parse_edge_list(text: str) -> OrientedGraph:
     """Parse an oriented graph; raises EdgeListError with a line number."""
-    lines = _data_lines(text)
-    for lineno, line in lines:
-        n, m, reflexive = _parse_header(lineno, line, allow_reflexive=True)
-        break
-    else:
-        raise EdgeListError(0, "empty input: missing header")
-    pairs = _parse_body(lines, n, m, directed=True)
-    return OrientedGraph(n, ((u, v) for u, v, _ in pairs), reflexive)
+    n, arcs, reflexive = _parse(text, allow_reflexive=True, directed=True)
+    return OrientedGraph(n, arcs, reflexive)
 
 
 def parse_undirected_edge_list(text: str):
     """Parse an undirected graph; returns (n, edges) with edges as
     normalized (min, max) tuples."""
-    lines = _data_lines(text)
-    for lineno, line in lines:
-        n, m, _ = _parse_header(lineno, line, allow_reflexive=False)
-        break
-    else:
-        raise EdgeListError(0, "empty input: missing header")
-    pairs = _parse_body(lines, n, m, directed=False)
-    return n, frozenset((min(u, v), max(u, v)) for u, v, _ in pairs)
+    n, arcs, _ = _parse(text, allow_reflexive=False, directed=False)
+    return n, frozenset((min(u, v), max(u, v)) for u, v in arcs)
 
 
 def format_edge_list(g: OrientedGraph, comments: Iterable = ()) -> str:

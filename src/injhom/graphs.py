@@ -54,8 +54,10 @@ class OrientedGraph:
     reflexive: bool = False
 
     def __init__(self, n: int, arcs: Iterable = (), reflexive: bool = False):
+        if type(arcs) is not frozenset or not set(map(type, arcs)) <= {tuple}:
+            arcs = frozenset(tuple(a) for a in arcs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in arcs))
+        object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "reflexive", bool(reflexive))
         self._validate()
 
@@ -95,11 +97,11 @@ class OrientedGraph:
 
     @cached_property
     def underlying_nbrs(self) -> tuple:
-        und = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            und[u].add(v)
-            und[v].add(u)
-        return tuple(tuple(sorted(row)) for row in und)
+        und = [[] for _ in range(self.n)]
+        for u, v in self.arcs:  # oriented: no pair twice
+            und[u].append(v)
+            und[v].append(u)
+        return tuple(map(tuple, map(sorted, und)))
 
     def in_degree(self, v: int) -> int:
         return len(self.in_nbrs[v])

@@ -3,7 +3,11 @@ search behind them.
 
 Paths and cycles are easy against every fixed target: decide_poly sends
 every input of underlying degree at most 2 to a transfer DP along its
-paths and cycles.  Where the input branches, the tractable pairs -- T1,
+paths and cycles.  The DP keeps each layer of states as one int bitmask
+and steps a layer through a per-call table from mask to next mask, so
+each walk vertex costs one dict lookup once the table has seen its mask.
+Degrees are counted straight from the arcs, so this route builds no in-
+or out-neighbour lists.  Where the input branches, the tractable pairs -- T1,
 T2, C3, T3 (where the ios and iot questions coincide), T1r under both
 modes and T2r under iot -- answer no, since none of them leaves a vertex
 room for three neighbours.  T2r under ios is 2-SAT, and the search
@@ -16,7 +20,10 @@ search (None).  Every yes answer carries a witness.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Mode, OrientedGraph
 from .solver import Homomorphism, solve
@@ -32,24 +39,45 @@ class PolyVerdict:
 
 def _branches(g: OrientedGraph) -> bool:
     """Has g a vertex of underlying degree three or more?  g is oriented,
-    so a vertex's in- and out-neighbours are distinct and their counts
-    add up to its underlying degree."""
-    in_nbrs, out_nbrs = g.in_nbrs, g.out_nbrs
-    return any(len(in_nbrs[v]) + len(out_nbrs[v]) > 2 for v in range(g.n))
+    so a vertex's underlying degree is the number of arcs it ends."""
+    return bool(g.arcs) and max(Counter(chain.from_iterable(g.arcs)).values()) > 2
 
 
 # --- transfer DP over components of underlying degree <= 2 ---
 
 
+class _Move(dict):
+    """One kind of walk step, as a map from a layer's state mask to the
+    next layer's, filled on first use.  step[s] is the mask of the states
+    one step on from state s, back[t] the mask of the states one step
+    before t."""
+
+    def __init__(self, step, back):
+        super().__init__()
+        self.step = step
+        self.back = back
+
+    def __missing__(self, mask):
+        step = self.step
+        nxt = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            nxt |= step[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = nxt
+        return nxt
+
+
 def _tables(h: OrientedGraph) -> tuple:
     """The DP's state tables for target h.  A state a * h.n + b says that
-    two consecutive walk vertices take images a, b.
+    two consecutive walk vertices take images a, b; a layer is the mask of
+    its states.
 
-    arcs[f] lists the states an arc allows, walked forwards (f true:
-    a -> b) or backwards.  moves[f, d][s] lists, in increasing order, the
-    states (b, c) one walk step on from s = (a, b) along such an arc; d
-    says that the middle vertex's two neighbours must take distinct
-    images, so c != a.
+    arcs[f] is the mask of the states an arc allows, walked forwards
+    (f true: a -> b) or backwards.  moves[f, d] steps from s = (a, b) to
+    the states (b, c) one walk step on along such an arc; d says that the
+    middle vertex's two neighbours must take distinct images, so c != a.
     """
     n = h.n
 
@@ -58,13 +86,18 @@ def _tables(h: OrientedGraph) -> tuple:
             return h.reflexive
         return ((a, b) if forward else (b, a)) in h.arcs
 
-    arcs = {f: [a * n + b for a in range(n) for b in range(n) if ok(f, a, b)] for f in (True, False)}
-    moves = {
-        (f, d): tuple(
-            tuple(b * n + c for c in range(n) if ok(f, b, c) and not (d and c == a))
-            for a in range(n) for b in range(n))
-        for f in (True, False) for d in (True, False)
-    }
+    column = sum(1 << a * n for a in range(n))  # the states (a, 0)
+    arcs, moves = {}, {}
+    for f in (True, False):
+        # after[b]: the mask of the images c that may follow image b
+        after = [sum(1 << c for c in range(n) if ok(f, b, c)) for b in range(n)]
+        arcs[f] = sum(after[a] << a * n for a in range(n))
+        for d in (True, False):
+            # step[a * n + b]: the states (b, c); back[b * n + c]: the states (a, b)
+            step = [(after[b] & ~(d << a)) << b * n for a in range(n) for b in range(n)]
+            back = [(column << b) & ~(d << c * n + b) if after[b] >> c & 1 else 0
+                    for b in range(n) for c in range(n)]
+            moves[f, d] = _Move(step, back)
     return arcs, moves
 
 
@@ -111,76 +144,91 @@ def _walk_images(g, h, mode):
     exists; g has underlying degree <= 2.  The DP's states are image pairs
     of consecutive walk vertices: beyond arc preservation, the only local
     constraint is whether a vertex's two walk neighbours must differ."""
-    if g.n and h.n == 0:
+    n = h.n
+    if g.n and n == 0:
         return None
     arcs, table = _tables(h)
     assignment = [0] * g.n
     for is_cycle, order in _component_orders(g):
         ends = order[1:] + order[:1] if is_cycle else order[1:]
-        forwards = [(u, v) in g.arcs for u, v in zip(order, ends)]
+        forwards = list(map(g.arcs.__contains__, zip(order, ends)))
         # differ[i]: must walk vertex i's two neighbours take distinct
         # images?  Under ios only where the walk turns (both arcs point
         # into or both out of the vertex); differ[0] matters for cycles only
         if mode is Mode.IOT:
             differ = [True] * len(forwards)
         elif mode is Mode.IOS:
-            differ = [forwards[i - 1] != forwards[i] for i in range(len(forwards))]
+            differ = list(map(operator.ne, forwards[-1:] + forwards[:-1], forwards))
         else:
             differ = [False] * len(forwards)
         # moves[i] steps from the images of walk vertices i-1, i to i, i+1
-        moves = [table[f, d] for f, d in zip(forwards, differ)]
+        moves = list(map(table.__getitem__, zip(forwards, differ)))
         first = arcs[forwards[0]]
-        states = _dp_cycle(h.n, first, moves) if is_cycle else _dp_path(first, moves)
+        states = _dp_cycle(n, first, moves) if is_cycle else _dp_path(first, moves)
         if states is None:
             return None
-        assignment[order[0]] = states[0] // h.n
+        assignment[order[0]] = states[0] // n
         for v, s in zip(order[1:], states):
-            assignment[v] = s % h.n
+            assignment[v] = s % n
     return assignment
 
 
-def _layers(first, moves):
-    """Extend the state layer first by one walk vertex per move: each
-    later layer maps its states to the state before.  None when some
-    layer is empty."""
-    layers = [first]
+def _layers(mask, moves):
+    """The state masks from layer mask on, one more per move; None when
+    some layer is empty."""
+    if not mask:
+        return None
+    layers = [mask]
     for move in moves:
-        if not layers[-1]:
+        mask = move[mask]
+        if not mask:
             return None
-        cur = {}
-        for s in layers[-1]:
-            for t in move[s]:
-                if t not in cur:
-                    cur[t] = s
-        layers.append(cur)
-    return layers if layers[-1] else None
+        layers.append(mask)
+    return layers
 
 
-def _trace_back(layers, s) -> list:
+def _trace_back(layers, moves, s) -> list:
+    """The states of a walk through layers that ends in state s, taking
+    the lowest state of each layer that steps to the next one."""
     states = [s]
-    for layer in reversed(layers[1:]):
-        s = layer[s]
+    for layer, back in zip(reversed(layers[:-1]), map(operator.attrgetter("back"), reversed(moves))):
+        before = layer & back[s]
+        s = (before & -before).bit_length() - 1
         states.append(s)
-    return states[::-1]
+    states.reverse()
+    return states
+
+
+def _lowest(mask) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _dp_path(first, moves):
-    layers = _layers(dict.fromkeys(first), moves[1:])
+    layers = _layers(first, moves[1:])
     if layers is None:
         return None
-    return _trace_back(layers, min(layers[-1]))
+    return _trace_back(layers, moves[1:], _lowest(layers[-1]))
 
 
 def _dp_cycle(n, first, moves):
-    for s0 in first:
-        layers = _layers({s0: None}, moves[1:-1])
+    """Try the start states in increasing order; each one's pass runs over
+    the masks that earlier passes left in the move tables."""
+    inner, closing, opening = moves[1:-1], moves[-1], moves[0]
+    starts = first
+    while starts:
+        s0 = _lowest(starts)
+        starts ^= 1 << s0
+        layers = _layers(1 << s0, inner)
         if layers is None:
             continue
         a0 = s0 // n
-        for s in sorted(layers[-1]):
-            closing = s % n * n + a0
-            if closing in moves[-1][s] and s0 in moves[0][closing]:
-                return _trace_back(layers, s)
+        last = layers[-1]
+        while last:
+            s = _lowest(last)
+            last ^= 1 << s
+            wrap = s % n * n + a0  # the state that closes the cycle
+            if closing.step[s] >> wrap & 1 and opening.step[wrap] >> s0 & 1:
+                return _trace_back(layers, inner, s)
     return None
 
 

@@ -16,7 +16,7 @@ from injhom.cli import main
 from injhom.fileformat import format_edge_list
 from injhom.poly import decide_poly
 from injhom.solver import check_hom, solve
-from injhom.targets import build_named
+from injhom.targets import TargetSpec, build_named
 
 
 def brute(g, target_name, mode):
@@ -189,3 +189,46 @@ def test_reflexive_inputs_rejected(tmp_path, capsys):
         assert code in (0, 1), (name, mode)
         assert "algorithm: backtracking" in out
         assert out.startswith("YES" if code == 0 else "NO")
+
+
+def _paths_and_cycles(rng, max_n):
+    """A seeded disjoint union of oriented paths and cycles (and isolated
+    vertices) on at most max_n vertices, relabelled at random."""
+    arcs, n = [], 0
+    while True:
+        size = rng.randint(1, 12)
+        if n + size > max_n:
+            break
+        cycle = size >= 3 and rng.random() < 0.5
+        for i in range(size if cycle else size - 1):
+            u, v = n + i, n + (i + 1) % size
+            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return OrientedGraph(n, [(perm[u], perm[v]) for u, v in arcs])
+
+
+def test_degree2_dp_matches_solver_on_paths_and_cycles():
+    # U9 has 81 states, more than fit in one 64-bit word
+    rng = random.Random(2024)
+    custom = transitive_tournament(4)
+    custom = OrientedGraph(4, [(v, u) if u == 0 and v == 3 else (u, v) for u, v in custom.arcs])
+    targets = ["U6", "U9", "U5r", TargetSpec.from_graph(custom)]
+    for trial in range(24):
+        g = _paths_and_cycles(rng, 30)
+        for target in targets:
+            h = target.build() if isinstance(target, TargetSpec) else build_named(target)
+            for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
+                got = decide_poly(g, target, mode)
+                assert got.algorithm == "degree2-dp"
+                assert got.satisfiable == solve(g, h, mode).satisfiable, (trial, target, mode)
+                if got.satisfiable:
+                    assert check_hom(g, h, got.witness.map, mode)
+
+
+def test_dp_route_builds_no_directed_adjacency():
+    g = directed_cycle(1000)
+    got = decide_poly(g, "U4", Mode.IOS)
+    assert got.algorithm == "degree2-dp" and not got.satisfiable
+    assert "in_nbrs" not in g.__dict__ and "out_nbrs" not in g.__dict__
