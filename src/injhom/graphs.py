@@ -83,17 +83,22 @@ class OrientedGraph:
 
     @cached_property
     def out_nbrs(self) -> tuple:
-        out = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            out[u].append(v)
-        return tuple(tuple(row) for row in out)
+        return self._directed_nbrs[0]
 
     @cached_property
     def in_nbrs(self) -> tuple:
+        return self._directed_nbrs[1]
+
+    @cached_property
+    def _directed_nbrs(self) -> tuple:
+        """Sorted out- and in-neighbour tuples per vertex, both from one
+        sort of the arcs."""
+        out = [[] for _ in range(self.n)]
         inn = [[] for _ in range(self.n)]
         for u, v in sorted(self.arcs):
+            out[u].append(v)
             inn[v].append(u)
-        return tuple(tuple(row) for row in inn)
+        return tuple(map(tuple, out)), tuple(map(tuple, inn))
 
     @cached_property
     def underlying_nbrs(self) -> tuple:

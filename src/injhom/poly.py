@@ -4,8 +4,9 @@ search behind them.
 Paths and cycles are easy against every fixed target: decide_poly sends
 every input of underlying degree at most 2 to a transfer DP along its
 paths and cycles.  The DP keeps each layer of states as one int bitmask
-and steps a layer through a per-call table from mask to next mask, so
-each walk vertex costs one dict lookup once the table has seen its mask.
+and steps a layer through a per-call memo from mask to next mask, so
+each walk vertex costs one dict lookup once the memo has seen its mask;
+the per-state tables the memo is filled from are built once per target.
 Degrees are counted straight from the arcs, so this route builds no in-
 or out-neighbour lists.  Where the input branches, the tractable pairs -- T1,
 T2, C3, T3 (where the ios and iot questions coincide), T1r under both
@@ -23,6 +24,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from .graphs import Mode, OrientedGraph
@@ -69,15 +71,17 @@ class _Move(dict):
         return nxt
 
 
+@lru_cache(maxsize=64)
 def _tables(h: OrientedGraph) -> tuple:
-    """The DP's state tables for target h.  A state a * h.n + b says that
-    two consecutive walk vertices take images a, b; a layer is the mask of
-    its states.
+    """The DP's state tables for target h, shared by every call against
+    an equal target.  A state a * h.n + b says that two consecutive walk
+    vertices take images a, b; a layer is the mask of its states.
 
     arcs[f] is the mask of the states an arc allows, walked forwards
-    (f true: a -> b) or backwards.  moves[f, d] steps from s = (a, b) to
-    the states (b, c) one walk step on along such an arc; d says that the
-    middle vertex's two neighbours must take distinct images, so c != a.
+    (f true: a -> b) or backwards.  moves[f, d] is the (step, back) pair
+    of a move from s = (a, b) to the states (b, c) one walk step on along
+    such an arc; d says that the middle vertex's two neighbours must take
+    distinct images, so c != a.
     """
     n = h.n
 
@@ -97,7 +101,7 @@ def _tables(h: OrientedGraph) -> tuple:
             step = [(after[b] & ~(d << a)) << b * n for a in range(n) for b in range(n)]
             back = [(column << b) & ~(d << c * n + b) if after[b] >> c & 1 else 0
                     for b in range(n) for c in range(n)]
-            moves[f, d] = _Move(step, back)
+            moves[f, d] = step, back
     return arcs, moves
 
 
@@ -147,7 +151,9 @@ def _walk_images(g, h, mode):
     n = h.n
     if g.n and n == 0:
         return None
-    arcs, table = _tables(h)
+    arcs, tables = _tables(h)
+    # the mask memos live for this call only, so memory stays bounded
+    table = {key: _Move(*pair) for key, pair in tables.items()}
     assignment = [0] * g.n
     for is_cycle, order in _component_orders(g):
         ends = order[1:] + order[:1] if is_cycle else order[1:]

@@ -7,6 +7,8 @@ in a neighbourhood the mode protects.  Propagation keeps both constraint
 kinds locally consistent, so the forcing gadgets collapse by unit
 propagation instead of search.  Domains are bitmasks, and the values an
 arc neighbour may take are read from tables indexed by domain mask.
+Those tables are shared between searches against equal targets; the
+input's side of the problem is built afresh for each search.
 
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
@@ -27,9 +29,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import weakref
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .graphs import Mode, OrientedGraph
 
@@ -114,69 +115,13 @@ def protected_pairs(g: OrientedGraph, mode: Mode) -> list:
     return sorted(pairs)
 
 
-class _GraphSide(NamedTuple):
-    """The input's half of a search instance, which no target changes:
-    for each vertex, its must-differ partners, its constraint neighbours
-    (arc or must-differ), and the must-differ pairs it belongs to that
-    share an arc neighbour, as (a, b, common heads, common tails)."""
-
-    diff_adj: tuple
-    constraint_nbrs: tuple
-    pairs_at: tuple
-
-
-# graph -> {mode: _GraphSide}.  Weak keys tie each entry to the graph's
-# lifetime, so chi's many solves on one input share one graph side while
-# a large input's side goes with the input.  A side holds no reference
-# back to its graph, which would keep the key alive.
-_GRAPH_SIDES = weakref.WeakKeyDictionary()
-
-
-def _graph_side(g: OrientedGraph, mode: Mode) -> _GraphSide:
-    """The graph side of (g, mode), built on first use."""
-    sides = _GRAPH_SIDES.get(g)
-    if sides is None:
-        sides = _GRAPH_SIDES[g] = {}
-    side = sides.get(mode)
-    if side is None:
-        side = sides[mode] = _build_graph_side(g, mode)
-    return side
-
-
-def _build_graph_side(g: OrientedGraph, mode: Mode) -> _GraphSide:
-    pairs = protected_pairs(g, mode)
-    diff_adj = [[] for _ in range(g.n)]
-    for a, b in pairs:
-        diff_adj[a].append(b)
-        diff_adj[b].append(a)
-    nbrs = [set() for _ in range(g.n)]
-    for u, v in g.arcs:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    for a, b in pairs:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    # must-differ pairs sharing an arc neighbour: when the pair's two
-    # domains cover only two values, both values are taken, so the
-    # shared neighbour is constrained by both at once
-    pairs_at = [[] for _ in range(g.n)]
-    for a, b in pairs:
-        heads = sorted(set(g.out_nbrs[a]) & set(g.out_nbrs[b]))
-        tails = sorted(set(g.in_nbrs[a]) & set(g.in_nbrs[b]))
-        if heads or tails:
-            entry = (a, b, tuple(heads), tuple(tails))
-            pairs_at[a].append(entry)
-            pairs_at[b].append(entry)
-    return _GraphSide(
-        tuple(map(tuple, diff_adj)),
-        tuple(tuple(sorted(s)) for s in nbrs),
-        tuple(map(tuple, pairs_at)),
-    )
-
-
 class _Csp:
-    """One prepared search instance; not reusable across calls.  The
-    graph side is shared by every instance on the same (graph, mode)."""
+    """One prepared search instance; not reusable across calls.
+
+    The graph side holds, for each vertex, its must-differ partners, its
+    constraint neighbours (arc or must-differ), and the must-differ pairs
+    it belongs to that share an arc neighbour, as (a, b, common heads,
+    common tails)."""
 
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
@@ -186,7 +131,30 @@ class _Csp:
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         hn = h.n
         self.out_support, self.in_support, self.out_common, self.in_common = _target_tables(h)
-        self.diff_adj, self.constraint_nbrs, self.pairs_at = _graph_side(g, mode)
+        pairs = protected_pairs(g, mode)
+        diff_adj = [[] for _ in range(g.n)]
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in g.arcs:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        # must-differ pairs sharing an arc neighbour: when the pair's two
+        # domains cover only two values, both values are taken, so the
+        # shared neighbour is constrained by both at once
+        pairs_at = [[] for _ in range(g.n)]
+        for a, b in pairs:
+            diff_adj[a].append(b)
+            diff_adj[b].append(a)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+            heads = sorted(set(g.out_nbrs[a]).intersection(g.out_nbrs[b]))
+            tails = sorted(set(g.in_nbrs[a]).intersection(g.in_nbrs[b]))
+            if heads or tails:
+                entry = (a, b, tuple(heads), tuple(tails))
+                pairs_at[a].append(entry)
+                pairs_at[b].append(entry)
+        self.diff_adj = diff_adj
+        self.constraint_nbrs = [sorted(s) for s in nbrs]
+        self.pairs_at = pairs_at
         self.start = [(1 << hn) - 1] * g.n
         if pins:
             for v, a in pins.items():
@@ -516,12 +484,11 @@ def _target_tables(h: OrientedGraph) -> tuple:
     both ends of a two-valued must-differ pair may take), out and in.
 
     Entries depend on the target alone, so every search against an equal
-    target shares them: chi's catalogue tournaments, which it solves
-    against on every call, and the named targets the command line builds
-    afresh for each command.  The bound holds chi's whole catalogue,
-    irreflexive and reflexive (152 targets), with room to spare: chi
-    walks it in the same order on every call, which an LRU cache too small
-    to hold it misses every time.
+    target shares them, such as the named targets the command line builds
+    afresh for each command.  The bound holds every named target and the
+    whole tournament catalogue, irreflexive and reflexive (152 targets),
+    with room to spare, so a caller that walks the catalogue in the same
+    order on every call does not miss every time.
     """
     out_mask = [0] * h.n
     in_mask = [0] * h.n

@@ -1,7 +1,6 @@
-import gc
 import itertools
 import random
-import weakref
+import time
 
 import pytest
 
@@ -9,8 +8,8 @@ from injhom.chromatic import (
     ChiCapError,
     ChiResult,
     TOURNAMENT_CAP,
-    _degrees_fit,
-    _room,
+    _degree_bound,
+    _max_cardinality_order,
     canonical_tournament_key,
     check_Um_forcing,
     chi,
@@ -28,8 +27,7 @@ from injhom.graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from injhom import solver
-from injhom.solver import check_hom, solve
+from injhom.solver import check_hom, protected_pairs, solve
 from injhom.targets import build_named
 
 
@@ -134,56 +132,91 @@ def test_chi_witness_is_valid_and_minimal():
                     assert not solve(g, target, mode).satisfiable
 
 
-def test_degree_filter_rejects_only_targets_without_homs():
-    # every target the filter rejects has no homomorphism, by brute force
-    rng = random.Random(21)
+FLAVOURS = ("proper-ios", "improper-ios", "improper-iot")
+
+
+def chi_by_catalogue(g, flavour):
+    """The chromatic number by one search per catalogue tournament, None
+    past the cap: the definition, kept as the oracle."""
+    mode, reflexive = flavour_settings(flavour)
+    for k in range(0 if g.n == 0 else 1, TOURNAMENT_CAP + 1):
+        for t in enumerate_tournaments(k):
+            if solve(g, OrientedGraph(k, t.arcs, reflexive), mode).satisfiable:
+                return k
+    return None
+
+
+def test_chi_matches_per_tournament_oracle():
+    rng = random.Random(808)
     graphs = [g for n in range(5) for g in all_oriented_graphs(n)]
-    graphs += [random_oriented_graph(rng.choice((5, 6)), rng, 0.5) for _ in range(12)]
-    rejected = 0
+    graphs += [random_oriented_graph(rng.randint(5, 8), rng, rng.choice((0.3, 0.5, 0.7)))
+               for _ in range(40)]
+    capped = 0
     for g in graphs:
-        need = {(g.out_degree(v), g.in_degree(v)) for v in range(g.n)}
-        for k in range(1, 5):
-            for t in enumerate_tournaments(k):
-                for reflexive in (False, True):
+        for flavour in FLAVOURS:
+            mode, reflexive = flavour_settings(flavour)
+            want = chi_by_catalogue(g, flavour)
+            try:
+                res = chi(g, flavour)
+            except ChiCapError:
+                assert want is None, (g, flavour)
+                capped += 1
+                continue
+            assert res.value == want, (g, flavour)
+            assert res.tournament.n == res.value and is_tournament(res.tournament)
+            assert res.tournament.reflexive == reflexive
+            assert check_hom(g, res.tournament, res.witness, mode), (g, flavour)
+    assert capped > 0
+
+
+def test_degree_bound_rejects_only_k_without_colourings():
+    # below the bound no k-tournament admits a colouring, by brute force
+    rng = random.Random(21)
+    graphs = [g for n in range(1, 5) for g in all_oriented_graphs(n)]
+    graphs += [random_oriented_graph(5, rng, 0.5) for _ in range(12)]
+    below = 0
+    for g in graphs:
+        for flavour in FLAVOURS:
+            mode, reflexive = flavour_settings(flavour)
+            bound = _degree_bound(g, mode, reflexive)
+            assert bound >= 1
+            for k in range(1, min(bound, 5)):
+                below += 1
+                for t in enumerate_tournaments(k):
                     h = OrientedGraph(k, t.arcs, reflexive)
-                    for mode in (Mode.IOS, Mode.IOT):
-                        if _degrees_fit(need, _room(h, mode)):
-                            continue
-                        rejected += 1
-                        assert not any(
-                            check_hom(g, h, f, mode)
-                            for f in itertools.product(range(k), repeat=g.n)
-                        ), (g, h, mode)
-    assert rejected > 0
+                    assert not any(check_hom(g, h, f, mode)
+                                   for f in itertools.product(range(k), repeat=g.n)), (g, h)
+    assert below > 0
 
 
-def test_graph_side_built_once_per_mode(monkeypatch):
-    built = []
-    original = solver._build_graph_side
-
-    def counting(g, mode):
-        built.append(mode)
-        return original(g, mode)
-
-    monkeypatch.setattr(solver, "_build_graph_side", counting)
-    g = random_oriented_graph(8, random.Random(5), arc_chance=0.5)
-    for flavour in ("proper-ios", "improper-ios", "improper-iot"):
-        chi(g, flavour)
-    solve(g, build_named("T3r"), Mode.IOS)
-    assert built == [Mode.IOS, Mode.IOT]
+@pytest.mark.parametrize("make", [directed_path, directed_cycle])
+def test_chi_on_ten_thousand_vertices(make):
+    g = make(10_000)
+    want = {"proper-ios": 3 if make is directed_path else 4,  # 3 does not divide 10^4
+            "improper-ios": 1, "improper-iot": 3}
+    for flavour in FLAVOURS:
+        start = time.process_time()
+        res = chi(g, flavour)
+        assert time.process_time() - start < 1.0, flavour
+        assert res.value == want[flavour], flavour
 
 
-def test_graph_side_dies_with_its_graph():
-    # a side kept past its graph would hold a large input's constraint
-    # tables into the next operation
-    g = OrientedGraph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
-    solve(g, build_named("U4"), Mode.IOT)
-    chi(g, "improper-ios")
-    assert g in solver._GRAPH_SIDES
-    ref = weakref.ref(g)
-    del g
-    gc.collect()
-    assert ref() is None
+def test_max_cardinality_order():
+    rng = random.Random(4)
+    for _ in range(30):
+        g = random_oriented_graph(rng.randint(1, 12), rng, 0.3)
+        nbrs = [set(g.underlying_nbrs[v]) for v in range(g.n)]
+        for a, b in protected_pairs(g, Mode.IOT):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        order = _max_cardinality_order([sorted(s) for s in nbrs])
+        assert sorted(order) == list(range(g.n))
+        for i, v in enumerate(order):
+            taken = set(order[:i])
+            counts = {w: len(nbrs[w] & taken) for w in order[i:]}
+            assert counts[v] == max(counts.values())
+            if not counts[v]:
+                assert v == min(counts)  # a new component starts at its lowest vertex
 
 
 def test_chi_cap_error():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from injhom.graphs import (
@@ -41,6 +43,18 @@ def test_neighbourhoods_and_degrees():
     assert g.in_degree(1) == 1 and g.out_degree(1) == 0
     assert max_degrees(g) == (1, 2)
     assert g.underlying_nbrs[0] == (1, 2, 3)
+
+
+def test_directed_neighbours_from_one_sort():
+    # both lists come from one build, sorted and equal to the lists read
+    # arc by arc
+    rng = random.Random(12)
+    for _ in range(40):
+        g = random_oriented_graph(rng.randint(0, 9), rng, 0.4)
+        assert g.out_nbrs is g._directed_nbrs[0] and g.in_nbrs is g._directed_nbrs[1]
+        for v in range(g.n):
+            assert g.out_nbrs[v] == tuple(sorted(w for u, w in g.arcs if u == v))
+            assert g.in_nbrs[v] == tuple(sorted(u for u, w in g.arcs if w == v))
 
 
 def test_mode_parse():

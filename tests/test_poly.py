@@ -14,6 +14,7 @@ from injhom.graphs import (
 )
 from injhom.cli import main
 from injhom.fileformat import format_edge_list
+from injhom import poly
 from injhom.poly import decide_poly
 from injhom.solver import check_hom, solve
 from injhom.targets import TargetSpec, build_named
@@ -231,4 +232,18 @@ def test_dp_route_builds_no_directed_adjacency():
     g = directed_cycle(1000)
     got = decide_poly(g, "U4", Mode.IOS)
     assert got.algorithm == "degree2-dp" and not got.satisfiable
-    assert "in_nbrs" not in g.__dict__ and "out_nbrs" not in g.__dict__
+    assert not {"in_nbrs", "out_nbrs", "_directed_nbrs"} & g.__dict__.keys()
+
+
+def test_dp_tables_built_once_per_target():
+    # step and back tables are shared by calls against equal targets; the
+    # mask memos are not, so each call starts from empty ones
+    poly._tables.cache_clear()
+    for n in (5, 7, 9):
+        for target in ("U4", "T3r"):
+            assert decide_poly(directed_cycle(n), target, Mode.IOT) is not None
+    info = poly._tables.cache_info()
+    assert info.misses == 2 and info.hits == 4
+    first = poly._tables(build_named("U4"))
+    assert poly._tables(build_named("U4")) is first
+    assert all(type(pair) is tuple for pair in first[1].values())
