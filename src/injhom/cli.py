@@ -200,6 +200,16 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("mode")
     p.add_argument("--enumerate", action="store_true", help="list every witness")
-    p.add_argument("--limit", type=int, default=None, help="stop after this many witnesses")
+    p.add_argument("--limit", type=_positive_int, default=None, help="stop after this many witnesses")
     p.add_argument("--pin", action="append", metavar="VERTEX=LABEL",
                    help="force a vertex's image (repeatable)")
     p.set_defaults(fn=_cmd_solve)

@@ -9,7 +9,9 @@ edge and the reflexive token is not allowed.
 The body is checked in bulk: split into rows once, converted a column
 at a time, and checked for range, loops, repeats and opposite arcs with
 min/max and set operations.  A body that fails the bulk check is read
-again line by line; that loop reports the first bad line.
+again line by line; that loop reports the first bad line.  The parsed
+graph is built from the checked arcs without the constructor's own
+check, so each file is checked once.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def _parse(text: str, allow_reflexive: bool, directed: bool):
 def parse_edge_list(text: str) -> OrientedGraph:
     """Parse an oriented graph; raises EdgeListError with a line number."""
     n, arcs, reflexive = _parse(text, allow_reflexive=True, directed=True)
-    return OrientedGraph(n, arcs, reflexive)
+    return OrientedGraph._checked(n, arcs, reflexive)
 
 
 def parse_undirected_edge_list(text: str):

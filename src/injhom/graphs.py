@@ -61,6 +61,15 @@ class OrientedGraph:
         object.__setattr__(self, "reflexive", bool(reflexive))
         self._validate()
 
+    @classmethod
+    def _checked(cls, n: int, arcs: frozenset, reflexive: bool = False) -> "OrientedGraph":
+        """The graph on arcs that the caller has already checked: a
+        frozenset of int pairs in range, with no loop and no digon.  The
+        edge-list parser checks its body itself, so it builds here."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, arcs=arcs, reflexive=bool(reflexive))
+        return g
+
     def _validate(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")

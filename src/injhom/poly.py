@@ -7,8 +7,9 @@ paths and cycles.  The DP keeps each layer of states as one int bitmask
 and steps a layer through a per-call memo from mask to next mask, so
 each walk vertex costs one dict lookup once the memo has seen its mask;
 the per-state tables the memo is filled from are built once per target.
-Degrees are counted straight from the arcs, so this route builds no in-
-or out-neighbour lists.  Where the input branches, the tractable pairs -- T1,
+One pass over the arcs lists each vertex's walk neighbours, unsorted,
+and stops at the first vertex with a third, so this route builds no in-,
+out- or sorted neighbour lists.  Where the input branches, the tractable pairs -- T1,
 T2, C3, T3 (where the ios and iot questions coincide), T1r under both
 modes and T2r under iot -- answer no, since none of them leaves a vertex
 room for three neighbours.  T2r under ios is 2-SAT, and the search
@@ -22,10 +23,8 @@ search (None).  Every yes answer carries a witness.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 from .graphs import Mode, OrientedGraph
 from .solver import Homomorphism, solve
@@ -37,12 +36,6 @@ class PolyVerdict:
     satisfiable: bool
     witness: Homomorphism | None
     algorithm: str
-
-
-def _branches(g: OrientedGraph) -> bool:
-    """Has g a vertex of underlying degree three or more?  g is oriented,
-    so a vertex's underlying degree is the number of arcs it ends."""
-    return bool(g.arcs) and max(Counter(chain.from_iterable(g.arcs)).values()) > 2
 
 
 # --- transfer DP over components of underlying degree <= 2 ---
@@ -105,22 +98,39 @@ def _tables(h: OrientedGraph) -> tuple:
     return arcs, moves
 
 
-def _component_orders(g: OrientedGraph):
+def _walk_nbrs(g: OrientedGraph):
+    """Each vertex's underlying neighbours as a list in no set order, or
+    None as soon as some vertex has a third: g branches.  g is oriented,
+    so no pair of vertices is met twice."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.arcs:
+        at_u = nbrs[u]
+        at_v = nbrs[v]
+        if len(at_u) == 2 or len(at_v) == 2:
+            return None
+        at_u.append(v)
+        at_v.append(u)
+    return nbrs
+
+
+def _component_orders(nbrs):
     """Each weak component with an arc as (is_cycle, vertex walk along
-    the underlying path or cycle); assumes underlying degree <= 2.  A path
-    is walked from its lower end, a cycle from its lowest vertex towards
-    that vertex's lower neighbour."""
-    nbrs = g.underlying_nbrs
-    seen = [False] * g.n
-    for v in range(g.n):
-        if seen[v] or not nbrs[v]:
+    the underlying path or cycle), given _walk_nbrs.  A path is walked
+    from its lower end, a cycle from its lowest vertex towards that
+    vertex's lower neighbour.  Only a start vertex's neighbours need an
+    order: from any other vertex the walk goes on to the neighbour it did
+    not come from."""
+    seen = [False] * len(nbrs)
+    for v, ends in enumerate(nbrs):
+        if seen[v] or not ends:
             continue
-        ahead = _walk_away(nbrs, v, nbrs[v][0])
+        ends = sorted(ends)
+        ahead = _walk_away(nbrs, v, ends[0])
         is_cycle = len(nbrs[ahead[-1]]) == 2  # the walk came back round to v
         if is_cycle:
             order = [v] + ahead
         else:
-            behind = _walk_away(nbrs, v, nbrs[v][1]) if len(nbrs[v]) == 2 else []
+            behind = _walk_away(nbrs, v, ends[1]) if len(ends) == 2 else []
             order = behind[::-1] + [v] + ahead
             if order[-1] < order[0]:
                 order.reverse()
@@ -143,10 +153,10 @@ def _walk_away(nbrs, start, cur) -> list:
     return walk
 
 
-def _walk_images(g, h, mode):
+def _walk_images(g, nbrs, h, mode):
     """An image per vertex of g, or None when no mode-injective map to h
-    exists; g has underlying degree <= 2.  The DP's states are image pairs
-    of consecutive walk vertices: beyond arc preservation, the only local
+    exists; nbrs is g's _walk_nbrs.  The DP's states are image pairs of
+    consecutive walk vertices: beyond arc preservation, the only local
     constraint is whether a vertex's two walk neighbours must differ."""
     n = h.n
     if g.n and n == 0:
@@ -155,7 +165,7 @@ def _walk_images(g, h, mode):
     # the mask memos live for this call only, so memory stays bounded
     table = {key: _Move(*pair) for key, pair in tables.items()}
     assignment = [0] * g.n
-    for is_cycle, order in _component_orders(g):
+    for is_cycle, order in _component_orders(nbrs):
         ends = order[1:] + order[:1] if is_cycle else order[1:]
         forwards = list(map(g.arcs.__contains__, zip(order, ends)))
         # differ[i]: must walk vertex i's two neighbours take distinct
@@ -276,8 +286,9 @@ def decide_poly(g: OrientedGraph, target, mode: Mode):
     if g.reflexive:
         return None
     label = _LABELS.get((spec.name, mode))
-    if not _branches(g):
-        images = _walk_images(g, spec.build(), mode)
+    nbrs = _walk_nbrs(g)
+    if nbrs is not None:
+        images = _walk_images(g, nbrs, spec.build(), mode)
         witness = Homomorphism(tuple(images), mode) if images is not None else None
         return PolyVerdict(images is not None, witness, label or "degree2-dp")
     if label is None:

@@ -95,24 +95,43 @@ def protected_pairs(g: OrientedGraph, mode: Mode) -> list:
     """Unordered vertex pairs the mode forces to distinct images: pairs
     inside one in- or out-neighbourhood (IOS) or inside a full
     neighbourhood (IOT), closed neighbourhoods if g is reflexive."""
-    pairs = set()
+    return sorted(_must_differ(g, mode))
+
+
+def _must_differ(g: OrientedGraph, mode: Mode) -> dict:
+    """Each protected pair (a, b), a < b, mapped to its common heads and
+    its common tails, two increasing lists, from one pass over the
+    neighbourhoods: a pair inside x's in-neighbourhood has head x, a pair
+    inside its out-neighbourhood has tail x.  Every pair with a common
+    head or tail is protected, so these are all of them."""
+    pairs = {}
     if mode is Mode.PLAIN:
-        return []
-    for x in range(g.n):
-        ins = list(g.in_nbrs[x])
-        outs = list(g.out_nbrs[x])
+        return pairs
+    get = pairs.get
+    combinations = itertools.combinations
+    for x, (ins, outs) in enumerate(zip(g.in_nbrs, g.out_nbrs)):
+        for pair in combinations(ins, 2):  # ins is sorted, so a < b
+            sides = get(pair)
+            if sides is None:
+                pairs[pair] = ([x], [])
+            else:
+                sides[0].append(x)
+        for pair in combinations(outs, 2):
+            sides = get(pair)
+            if sides is None:
+                pairs[pair] = ([], [x])
+            else:
+                sides[1].append(x)
+        # pairs protected without a common head or tail: across the
+        # neighbourhood under iot, and under loops the two ends of each
+        # arc, taken here at its head
+        others = [(a, b) if a < b else (b, a) for a in ins for b in outs] if mode is Mode.IOT else []
         if g.reflexive:
-            ins.append(x)
-            outs.append(x)
-        if mode is Mode.IOS:
-            groups = (ins, outs)
-        else:
-            groups = (sorted(set(ins) | set(outs)),)
-        for group in groups:
-            for a, b in itertools.combinations(group, 2):
-                if a != b:
-                    pairs.add((a, b) if a < b else (b, a))
-    return sorted(pairs)
+            others += [(w, x) if w < x else (x, w) for w in ins]
+        for pair in others:
+            if pair not in pairs:
+                pairs[pair] = ([], [])
+    return pairs
 
 
 class _Csp:
@@ -131,7 +150,7 @@ class _Csp:
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         hn = h.n
         self.out_support, self.in_support, self.out_common, self.in_common = _target_tables(h)
-        pairs = protected_pairs(g, mode)
+        sides = _must_differ(g, mode)
         diff_adj = [[] for _ in range(g.n)]
         nbrs = [set() for _ in range(g.n)]
         for u, v in g.arcs:
@@ -141,13 +160,11 @@ class _Csp:
         # domains cover only two values, both values are taken, so the
         # shared neighbour is constrained by both at once
         pairs_at = [[] for _ in range(g.n)]
-        for a, b in pairs:
+        for (a, b), (heads, tails) in sorted(sides.items()):
             diff_adj[a].append(b)
             diff_adj[b].append(a)
             nbrs[a].add(b)
             nbrs[b].add(a)
-            heads = sorted(set(g.out_nbrs[a]).intersection(g.out_nbrs[b]))
-            tails = sorted(set(g.in_nbrs[a]).intersection(g.in_nbrs[b]))
             if heads or tails:
                 entry = (a, b, tuple(heads), tuple(tails))
                 pairs_at[a].append(entry)
@@ -213,9 +230,15 @@ class _Csp:
                         log((w, dw))
                         dom[w] = nd
                         stack.append(w)
+            if dv.bit_count() != 2:
+                # a pair covering two values with v in it has v's two
+                # values, or v is a singleton: then the singleton rule
+                # decides v's partner, and the arc rules force the shared
+                # neighbours as far as the pair rule would
+                continue
             for a, b, heads, tails in pairs_at[v]:
                 union = dom[a] | dom[b]
-                if union.bit_count() != 2:
+                if union != dv:  # the partner holds a value outside v's
                     continue
                 both_out = out_common[union]
                 for w in heads:

@@ -103,6 +103,16 @@ def test_solve_enumerate_and_limit(write, capsys):
     assert "solutions: 2 (limit reached)" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_solve_limit_below_one_is_a_usage_error(write, capsys, limit):
+    # three isolated vertices have solutions against T3; a limit below one
+    # would print "solutions: 0" as a NO, or fail inside the enumeration
+    path = write("e3.txt", format_edge_list(OrientedGraph(3)))
+    code, out, err = run(capsys, "solve", path, "T3", "ios", "--enumerate", f"--limit={limit}")
+    assert code == 2 and out == ""
+    assert f"argument --limit: expected a positive integer, got '{limit}'" in err
+
+
 def test_solve_with_pin(write, capsys):
     path = write("c3.txt", format_edge_list(directed_cycle(3)))
     code, out, _ = run(capsys, "solve", path, "C3r", "ios", "--pin", "0=c2")

@@ -222,17 +222,46 @@ def _mutate(text, n, rng):
     return sep.join(lines) + rng.choice(["", sep])
 
 
-def test_bulk_parser_matches_line_by_line_reference():
+def _mutated_corpus():
+    """600 seeded edge-list texts, each with one to three edits."""
     rng = random.Random(808)
     for trial in range(600):
         n = rng.randrange(0, 9)
         g = random_oriented_graph(n, rng, arc_chance=rng.random())
         comments = ["a comment"] if rng.random() < 0.3 else ()
-        text = _mutate(format_edge_list(g, comments=comments), n, rng)
+        yield trial, _mutate(format_edge_list(g, comments=comments), n, rng)
+
+
+def test_bulk_parser_matches_line_by_line_reference():
+    for trial, text in _mutated_corpus():
         assert _outcome(parse_edge_list, text) == _outcome(
             lambda t: _ref_parse(t, directed=True), text), (trial, text)
         assert _outcome(parse_undirected_edge_list, text) == _outcome(
             lambda t: _ref_parse(t, directed=False), text), (trial, text)
+
+
+def test_parsed_graphs_are_valid():
+    # the parser's own checks are the only ones a file gets, so every
+    # graph it accepts must pass the constructor's
+    graphs = []
+    for _, text in _mutated_corpus():
+        try:
+            graphs.append(parse_edge_list(text))
+        except EdgeListError:
+            pass
+    assert len(graphs) >= 50
+    rng = random.Random(809)
+    for n in (200, 350, 500):
+        g = random_oriented_graph(n, rng, arc_chance=4 / n)
+        text = format_edge_list(OrientedGraph(n, g.arcs, reflexive=n == 350))
+        graphs.append(parse_edge_list(text))
+        graphs.append(parse_edge_list(text.replace("\n", "\n  \n# note\n")))
+    for g in graphs:
+        g._validate()
+        built = OrientedGraph(g.n, g.arcs, g.reflexive)
+        assert g == built
+        for name in ("out_nbrs", "in_nbrs", "underlying_nbrs"):
+            assert getattr(g, name) == getattr(built, name), (g, name)
 
 
 def test_roundtrip_random_graphs():

@@ -192,18 +192,22 @@ def test_reflexive_inputs_rejected(tmp_path, capsys):
         assert out.startswith("YES" if code == 0 else "NO")
 
 
-def _paths_and_cycles(rng, max_n):
+def _paths_and_cycles(rng, max_n, max_size=12, kinds=("random",)):
     """A seeded disjoint union of oriented paths and cycles (and isolated
-    vertices) on at most max_n vertices, relabelled at random."""
+    vertices) on at most max_n vertices, relabelled at random.  Each
+    component is directed, antidirected or randomly oriented, as drawn
+    from kinds."""
     arcs, n = [], 0
     while True:
-        size = rng.randint(1, 12)
+        size = rng.randint(1, max_size)
         if n + size > max_n:
             break
         cycle = size >= 3 and rng.random() < 0.5
+        kind = rng.choice(kinds) if len(kinds) > 1 else kinds[0]
         for i in range(size if cycle else size - 1):
             u, v = n + i, n + (i + 1) % size
-            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+            forward = {"directed": True, "anti": i % 2 == 0, "random": rng.random() < 0.5}[kind]
+            arcs.append((u, v) if forward else (v, u))
         n += size
     perm = list(range(n))
     rng.shuffle(perm)
@@ -232,7 +236,7 @@ def test_dp_route_builds_no_directed_adjacency():
     g = directed_cycle(1000)
     got = decide_poly(g, "U4", Mode.IOS)
     assert got.algorithm == "degree2-dp" and not got.satisfiable
-    assert not {"in_nbrs", "out_nbrs", "_directed_nbrs"} & g.__dict__.keys()
+    assert not {"in_nbrs", "out_nbrs", "_directed_nbrs", "underlying_nbrs"} & g.__dict__.keys()
 
 
 def test_dp_tables_built_once_per_target():
@@ -247,3 +251,60 @@ def test_dp_tables_built_once_per_target():
     first = poly._tables(build_named("U4"))
     assert poly._tables(build_named("U4")) is first
     assert all(type(pair) is tuple for pair in first[1].values())
+
+
+# --- the walk over unsorted neighbour lists against the sorted walk ---
+
+
+def _ref_component_orders(g):
+    """The walk over sorted underlying_nbrs, as decide_poly walked before
+    its neighbour lists were left unsorted."""
+    nbrs = g.underlying_nbrs
+    seen = [False] * g.n
+    for v in range(g.n):
+        if seen[v] or not nbrs[v]:
+            continue
+        ahead = _ref_walk_away(nbrs, v, nbrs[v][0])
+        is_cycle = len(nbrs[ahead[-1]]) == 2
+        if is_cycle:
+            order = [v] + ahead
+        else:
+            behind = _ref_walk_away(nbrs, v, nbrs[v][1]) if len(nbrs[v]) == 2 else []
+            order = behind[::-1] + [v] + ahead
+            if order[-1] < order[0]:
+                order.reverse()
+        for w in order:
+            seen[w] = True
+        yield is_cycle, order
+
+
+def _ref_walk_away(nbrs, start, cur):
+    walk = []
+    prev = start
+    while cur != start:
+        walk.append(cur)
+        ends = nbrs[cur]
+        if len(ends) == 1:
+            break
+        prev, cur = cur, ends[1] if ends[0] == prev else ends[0]
+    return walk
+
+
+def test_unsorted_walk_matches_sorted_reference(monkeypatch):
+    rng = random.Random(1010)
+    walk_orders = poly._component_orders
+    targets = ("T3", "C3", "T2r", "U4", "C3r")
+    for trial in range(60):
+        g = _paths_and_cycles(rng, rng.choice((12, 60, 200)), 40, ("directed", "anti", "random"))
+        nbrs = poly._walk_nbrs(g)
+        assert list(map(sorted, nbrs)) == list(map(list, g.underlying_nbrs))
+        want = list(_ref_component_orders(g))
+        assert list(walk_orders(nbrs)) == want, trial
+        for target in targets:
+            for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
+                got = decide_poly(g, target, mode)
+                monkeypatch.setattr(poly, "_component_orders", lambda _: iter(want))
+                ref = decide_poly(g, target, mode)
+                monkeypatch.setattr(poly, "_component_orders", walk_orders)
+                assert got == ref, (trial, target, mode)
+

@@ -45,6 +45,62 @@ def naive_homs(g, h, mode):
     return out
 
 
+def _ref_protected_pairs(g, mode):
+    """protected_pairs from each neighbourhood's pairs, as it was derived
+    before the solver kept each pair's common heads and tails."""
+    pairs = set()
+    if mode is Mode.PLAIN:
+        return []
+    for x in range(g.n):
+        ins = list(g.in_nbrs[x])
+        outs = list(g.out_nbrs[x])
+        if g.reflexive:
+            ins.append(x)
+            outs.append(x)
+        groups = (ins, outs) if mode is Mode.IOS else (sorted(set(ins) | set(outs)),)
+        for group in groups:
+            for a, b in itertools.combinations(group, 2):
+                if a != b:
+                    pairs.add((a, b) if a < b else (b, a))
+    return sorted(pairs)
+
+
+def _ref_graph_side(g, mode):
+    """diff_adj, constraint_nbrs and pairs_at from the sorted pairs, with
+    each pair's common heads and tails by set intersection."""
+    diff_adj = [[] for _ in range(g.n)]
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.arcs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    pairs_at = [[] for _ in range(g.n)]
+    for a, b in _ref_protected_pairs(g, mode):
+        diff_adj[a].append(b)
+        diff_adj[b].append(a)
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+        heads = sorted(set(g.out_nbrs[a]).intersection(g.out_nbrs[b]))
+        tails = sorted(set(g.in_nbrs[a]).intersection(g.in_nbrs[b]))
+        if heads or tails:
+            entry = (a, b, tuple(heads), tuple(tails))
+            pairs_at[a].append(entry)
+            pairs_at[b].append(entry)
+    return diff_adj, [sorted(s) for s in nbrs], pairs_at
+
+
+def test_graph_side_matches_per_pair_derivation():
+    rng = random.Random(1212)
+    for trial in range(1000):
+        g = random_oriented_graph(rng.randint(1, 12), rng, arc_chance=rng.random())
+        if rng.random() < 0.3:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        for mode in MODES:
+            assert protected_pairs(g, mode) == _ref_protected_pairs(g, mode), (trial, mode)
+            csp = _Csp(g, C3r, mode)
+            got = (csp.diff_adj, csp.constraint_nbrs, csp.pairs_at)
+            assert got == _ref_graph_side(g, mode), (trial, mode)
+
+
 def test_check_hom_constant_onto_reflexive():
     g = directed_cycle(3)
     assert check_hom(g, C3r, (0, 0, 0), Mode.IOS)
