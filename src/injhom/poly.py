@@ -4,9 +4,9 @@ search behind them.
 Paths and cycles are easy against every fixed target: decide_poly sends
 every input of underlying degree at most 2 to a transfer DP along its
 paths and cycles.  The DP keeps each layer of states as one int bitmask
-and steps a layer through a per-call memo from mask to next mask, so
-each walk vertex costs one dict lookup once the memo has seen its mask;
-the per-state tables the memo is filled from are built once per target.
+and steps a layer through a per-call mask table from mask to next mask,
+so each walk vertex costs one dict lookup once the table has seen its
+mask; the per-state masks it unions are built once per target.
 One pass over the arcs lists each vertex's walk neighbours, unsorted,
 and stops at the first vertex with a third, so this route builds no in-,
 out- or sorted neighbour lists.  Where the input branches, the tractable pairs -- T1,
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Mode, OrientedGraph
-from .solver import Homomorphism, solve
+from .solver import Homomorphism, _MaskTable, _target_tables, solve
 from .targets import TargetSpec
 
 
@@ -41,29 +41,6 @@ class PolyVerdict:
 # --- transfer DP over components of underlying degree <= 2 ---
 
 
-class _Move(dict):
-    """One kind of walk step, as a map from a layer's state mask to the
-    next layer's, filled on first use.  step[s] is the mask of the states
-    one step on from state s, back[t] the mask of the states one step
-    before t."""
-
-    def __init__(self, step, back):
-        super().__init__()
-        self.step = step
-        self.back = back
-
-    def __missing__(self, mask):
-        step = self.step
-        nxt = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            nxt |= step[low.bit_length() - 1]
-            rest ^= low
-        self[mask] = nxt
-        return nxt
-
-
 @lru_cache(maxsize=64)
 def _tables(h: OrientedGraph) -> tuple:
     """The DP's state tables for target h, shared by every call against
@@ -74,20 +51,15 @@ def _tables(h: OrientedGraph) -> tuple:
     (f true: a -> b) or backwards.  moves[f, d] is the (step, back) pair
     of a move from s = (a, b) to the states (b, c) one walk step on along
     such an arc; d says that the middle vertex's two neighbours must take
-    distinct images, so c != a.
+    distinct images, so c != a.  step[s] is the mask of the states one
+    step on from s, back[t] the mask of the states one step before t.
     """
     n = h.n
-
-    def ok(forward, a, b):
-        if a == b:
-            return h.reflexive
-        return ((a, b) if forward else (b, a)) in h.arcs
-
     column = sum(1 << a * n for a in range(n))  # the states (a, 0)
     arcs, moves = {}, {}
-    for f in (True, False):
+    for f, support in zip((True, False), _target_tables(h)):
         # after[b]: the mask of the images c that may follow image b
-        after = [sum(1 << c for c in range(n) if ok(f, b, c)) for b in range(n)]
+        after = support.masks
         arcs[f] = sum(after[a] << a * n for a in range(n))
         for d in (True, False):
             # step[a * n + b]: the states (b, c); back[b * n + c]: the states (a, b)
@@ -162,8 +134,12 @@ def _walk_images(g, nbrs, h, mode):
     if g.n and n == 0:
         return None
     arcs, tables = _tables(h)
-    # the mask memos live for this call only, so memory stays bounded
-    table = {key: _Move(*pair) for key, pair in tables.items()}
+    # the mask memos live for this call only, so memory stays bounded;
+    # each carries its move's back table for the trace-back
+    table = {}
+    for key, (step, back) in tables.items():
+        table[key] = memo = _MaskTable(step)
+        memo.back = back
     assignment = [0] * g.n
     for is_cycle, order in _component_orders(nbrs):
         ends = order[1:] + order[:1] if is_cycle else order[1:]
@@ -243,7 +219,7 @@ def _dp_cycle(n, first, moves):
             s = _lowest(last)
             last ^= 1 << s
             wrap = s % n * n + a0  # the state that closes the cycle
-            if closing.step[s] >> wrap & 1 and opening.step[wrap] >> s0 & 1:
+            if closing.masks[s] >> wrap & 1 and opening.masks[wrap] >> s0 & 1:
                 return _trace_back(layers, inner, s)
     return None
 

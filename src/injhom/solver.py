@@ -5,10 +5,15 @@ per vertex of G with domain V(H), arc constraints for arc preservation,
 and difference constraints between any two vertices that appear together
 in a neighbourhood the mode protects.  Propagation keeps both constraint
 kinds locally consistent, so the forcing gadgets collapse by unit
-propagation instead of search.  Domains are bitmasks, and the values an
-arc neighbour may take are read from tables indexed by domain mask.
-Those tables are shared between searches against equal targets; the
-input's side of the problem is built afresh for each search.
+propagation instead of search.  Domains are bitmasks.  Each target
+value has an out- and an in-mask, its loop included; the values an arc
+neighbour may take are read from tables that map a domain mask to the
+union of its values' masks, and the arc neighbours of a two-valued
+must-differ pair may take the intersection of its two values' masks.
+The masks and tables are shared between searches against equal targets,
+and the transfer DP in poly steps its layers through the same kind of
+table.  The input's side of the problem reads the graph's own
+neighbour lists and is built afresh for each search.
 
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -60,8 +64,8 @@ def check_hom(g: OrientedGraph, h: OrientedGraph, f, mode: Mode = Mode.PLAIN) ->
     if len(f) != g.n:
         raise ValueError(f"map covers {len(f)} vertices, graph has {g.n}")
     for a in f:
-        if not 0 <= a < h.n:
-            raise ValueError(f"image {a} out of range for target on {h.n} vertices")
+        if not (isinstance(a, int) and 0 <= a < h.n):
+            raise ValueError(f"image {a!r} out of range for target on {h.n} vertices")
     if g.reflexive and not h.reflexive and g.n > 0:
         return False  # loops cannot map anywhere
     for u, v in g.arcs:
@@ -145,17 +149,12 @@ class _Csp:
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
         self.h = h
-        self.mode = mode
         self.nodes = 0
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         hn = h.n
-        self.out_support, self.in_support, self.out_common, self.in_common = _target_tables(h)
+        self.out_support, self.in_support = _target_tables(h)
         sides = _must_differ(g, mode)
         diff_adj = [[] for _ in range(g.n)]
-        nbrs = [set() for _ in range(g.n)]
-        for u, v in g.arcs:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
         # must-differ pairs sharing an arc neighbour: when the pair's two
         # domains cover only two values, both values are taken, so the
         # shared neighbour is constrained by both at once
@@ -163,14 +162,13 @@ class _Csp:
         for (a, b), (heads, tails) in sorted(sides.items()):
             diff_adj[a].append(b)
             diff_adj[b].append(a)
-            nbrs[a].add(b)
-            nbrs[b].add(a)
             if heads or tails:
                 entry = (a, b, tuple(heads), tuple(tails))
                 pairs_at[a].append(entry)
                 pairs_at[b].append(entry)
         self.diff_adj = diff_adj
-        self.constraint_nbrs = [sorted(s) for s in nbrs]
+        self.constraint_nbrs = [sorted({*outs, *ins, *diffs})
+                                for outs, ins, diffs in zip(g.out_nbrs, g.in_nbrs, diff_adj)]
         self.pairs_at = pairs_at
         self.start = [(1 << hn) - 1] * g.n
         if pins:
@@ -188,8 +186,8 @@ class _Csp:
         changes on trail for the caller to undo."""
         out_support = self.out_support
         in_support = self.in_support
-        out_common = self.out_common
-        in_common = self.in_common
+        out_masks = out_support.masks
+        in_masks = in_support.masks
         out_nbrs = self.g.out_nbrs
         in_nbrs = self.g.in_nbrs
         diff_adj = self.diff_adj
@@ -236,11 +234,12 @@ class _Csp:
                 # decides v's partner, and the arc rules force the shared
                 # neighbours as far as the pair rule would
                 continue
+            x = (dv & -dv).bit_length() - 1  # v's two values
+            y = dv.bit_length() - 1
             for a, b, heads, tails in pairs_at[v]:
-                union = dom[a] | dom[b]
-                if union != dv:  # the partner holds a value outside v's
+                if dom[a] | dom[b] != dv:  # the partner holds a value outside v's
                     continue
-                both_out = out_common[union]
+                both_out = out_masks[x] & out_masks[y]
                 for w in heads:
                     dw = dom[w]
                     nd = dw & both_out
@@ -251,7 +250,7 @@ class _Csp:
                         dom[w] = nd
                         stack.append(w)
                 if tails:
-                    both_in = in_common[union]
+                    both_in = in_masks[x] & in_masks[y]
                     for w in tails:
                         dw = dom[w]
                         nd = dw & both_in
@@ -502,16 +501,15 @@ def _lowest_free(dom, low_free) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _target_tables(h: OrientedGraph) -> tuple:
-    """Mask tables of one target: supports (the values an arc neighbour
-    may take, given a domain) and commons (the values an arc neighbour of
-    both ends of a two-valued must-differ pair may take), out and in.
+    """The support tables of one target, out and in: the values an arc
+    neighbour may take, given a domain.  Their masks, loops included,
+    are each value's out- and in-neighbours.
 
     Entries depend on the target alone, so every search against an equal
-    target shares them, such as the named targets the command line builds
-    afresh for each command.  The bound holds every named target and the
-    whole tournament catalogue, irreflexive and reflexive (152 targets),
-    with room to spare, so a caller that walks the catalogue in the same
-    order on every call does not miss every time.
+    target shares them.  The command line builds its named targets afresh
+    for every command, and callers in one process ask about the same few
+    targets again and again; the bound holds every named target with room
+    for many custom ones.
     """
     out_mask = [0] * h.n
     in_mask = [0] * h.n
@@ -522,37 +520,29 @@ def _target_tables(h: OrientedGraph) -> tuple:
         for a in range(h.n):
             out_mask[a] |= 1 << a
             in_mask[a] |= 1 << a
-    full = (1 << h.n) - 1
-    return (
-        _MaskTable(out_mask, operator.or_, 0),
-        _MaskTable(in_mask, operator.or_, 0),
-        _MaskTable(out_mask, operator.and_, full),
-        _MaskTable(in_mask, operator.and_, full),
-    )
+    return _MaskTable(out_mask), _MaskTable(in_mask)
 
 
 class _MaskTable(dict):
-    """A target's per-value masks folded (by union or intersection) over
-    the values of a domain mask, indexed by the domain mask.  Entries are
-    filled on first use, each from the entry without its lowest value, so
-    a target of any size pays only for the domains that occur."""
+    """The union of per-value masks over the values of a value mask,
+    indexed by the value mask.  Entries are filled on first use, one per
+    mask asked for, so a table over any number of values pays only for
+    the masks that occur."""
 
-    def __init__(self, masks, fold, empty):
-        super().__init__({0: empty})
+    def __init__(self, masks):
+        super().__init__()
         self.masks = masks
-        self.fold = fold
 
-    def __missing__(self, dom):
-        chain = []  # dom, then dom less its lowest values, down to an entry
-        while dom not in self:
-            chain.append(dom)
-            dom &= dom - 1
-        combined = self[dom]
-        for sub in reversed(chain):
-            low = sub & -sub
-            combined = self.fold(combined, self.masks[low.bit_length() - 1])
-            self[sub] = combined
-        return combined
+    def __missing__(self, values):
+        masks = self.masks
+        union = 0
+        rest = values
+        while rest:
+            low = rest & -rest
+            union |= masks[low.bit_length() - 1]
+            rest ^= low
+        self[values] = union
+        return union
 
 
 def enumerate_homs(g, h, mode: Mode, pins=None, limit=None) -> Iterator[tuple]:

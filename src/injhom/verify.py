@@ -148,12 +148,16 @@ _ORACLE_CASES = [
 ]
 
 
-def suite_oracle_equivalence(seed: int = 20250816, samples: int = 60) -> list:
+_ORACLE_SEED = 20250816
+_ORACLE_SAMPLES = 60  # random 4-vertex graphs besides every 3-vertex one
+
+
+def suite_oracle_equivalence() -> list:
     """Polynomial deciders vs exhaustive map search on small graphs."""
     out = []
     pool = list(all_oriented_graphs(3))
-    rng = random.Random(seed)
-    pool += [random_oriented_graph(4, rng) for _ in range(samples)]
+    rng = random.Random(_ORACLE_SEED)
+    pool += [random_oriented_graph(4, rng) for _ in range(_ORACLE_SAMPLES)]
     for name, mode in _ORACLE_CASES:
         target = build_named(name)
         ok = True

@@ -24,8 +24,8 @@ from injhom.reductions import (
     complete_graph,
     reduce_3edge_to_t3r,
 )
-from injhom.solver import _Csp, check_hom, enumerate_homs, protected_pairs, solve
-from injhom.targets import build_named
+from injhom.solver import _Csp, _MaskTable, check_hom, enumerate_homs, protected_pairs, solve
+from injhom.targets import build_named, u_tournament
 
 C3 = build_named("C3")
 C3r = build_named("C3r")
@@ -123,6 +123,16 @@ def test_check_hom_rejects_bad_shape():
         check_hom(directed_path(2), T3, (0,), Mode.PLAIN)
     with pytest.raises(ValueError):
         check_hom(directed_path(2), T3, (0, 9), Mode.PLAIN)
+
+
+def test_check_hom_rejects_non_integer_images():
+    T1r = build_named("T1r")
+    with pytest.raises(ValueError):
+        check_hom(edgeless(1), T3, (0.5,))
+    with pytest.raises(ValueError):
+        check_hom(directed_path(2), T1r, (0.5, 0.5), Mode.IOS)
+    with pytest.raises(ValueError):
+        check_hom(edgeless(1), T3, ("1",))
 
 
 def test_check_hom_reflexive_input_needs_reflexive_target():
@@ -592,3 +602,54 @@ def test_search_scales_to_ten_thousand_vertices():
     star = OrientedGraph(n + 1, [(0, i) for i in range(1, n + 1)])
     res = solve(star, T3r, Mode.PLAIN)
     assert res.satisfiable and check_hom(star, T3r, res.witness.map, Mode.PLAIN)
+
+
+# --- a target wider than one 64-bit word ---
+
+
+def _sparse_walks(rng, n, tries):
+    """Arcs between random vertex pairs, each kept while both ends have
+    fewer than two neighbours: paths and cycles, randomly oriented."""
+    degree = [0] * n
+    arcs = set()
+    for _ in range(tries):
+        u, v = rng.sample(range(n), 2)
+        if degree[u] < 2 and degree[v] < 2 and not {(u, v), (v, u)} & arcs:
+            arcs.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return OrientedGraph(n, arcs)
+
+
+def test_search_and_dp_agree_on_a_seventy_value_target():
+    rng = random.Random(7070)
+    inputs = (directed_cycle(6), directed_path(40), _sparse_walks(rng, 40, 60))
+    for reflexive in (False, True):
+        h = u_tournament(70, reflexive)
+        for g in inputs:
+            for mode in (Mode.IOS, Mode.IOT):
+                res = solve(g, h, mode)
+                verdict = decide_poly(g, h, mode)
+                assert verdict.algorithm == "degree2-dp"
+                assert res.satisfiable == verdict.satisfiable, (reflexive, g, mode)
+                for found in (res, verdict):
+                    if found.satisfiable:
+                        assert check_hom(g, h, found.witness.map, mode), (reflexive, g, mode)
+
+
+def test_mask_table_is_the_union_of_its_values_masks():
+    rng = random.Random(6464)
+    width = 70
+    # each value's mask has a bit of its own, so a value left out shows
+    perm = list(range(width))
+    rng.shuffle(perm)
+    masks = [1 << own | 1 << rng.randrange(width) for own in perm]
+    table = _MaskTable(masks)
+    full = (1 << width) - 1
+    for values in [0, full] + [rng.getrandbits(width) for _ in range(200)]:
+        want = 0
+        for a in range(width):
+            if values >> a & 1:
+                want |= masks[a]
+        assert table[values] == want
+        assert table[values] == want  # and again from the stored entry
