@@ -3,16 +3,20 @@
 A (G, H, mode) question becomes a binary constraint problem: one variable
 per vertex of G with domain V(H), arc constraints for arc preservation,
 and difference constraints between any two vertices that appear together
-in a neighbourhood the mode protects.  Propagation keeps both constraint
-kinds locally consistent, so the forcing gadgets collapse by unit
-propagation instead of search.  Domains are bitmasks.  Each target
-value has an out- and an in-mask, its loop included; the values an arc
-neighbour may take are read from tables that map a domain mask to the
-union of its values' masks, and the arc neighbours of a two-valued
-must-differ pair may take the intersection of its two values' masks.
-The masks and tables are shared between searches against equal targets,
-and the transfer DP in poly steps its layers through the same kind of
-table.  The input's side of the problem reads the graph's own
+in a neighbourhood the mode protects.  Propagation has four rules, so
+the forcing gadgets collapse by unit propagation instead of search:
+arc support in both directions, singleton elimination on must-differ
+pairs, the pair-union rule (the arc neighbours of a two-valued
+must-differ pair may take only the intersection of its two values'
+masks), and the naked-pair rule (two members of one protected
+neighbourhood on the same two values use both up, so its other members
+lose them: the size-two Hall sets of the neighbourhood's all-different
+constraint).  Domains are bitmasks.  Each target value has an out- and
+an in-mask, its loop included; the values an arc neighbour may take are
+read from tables that map a domain mask to the union of its values'
+masks.  The masks and tables are shared between searches against equal
+targets, and the transfer DP in poly steps its layers through the same
+kind of table.  The input's side of the problem reads the graph's own
 neighbour lists and is built afresh for each search.
 
 The search is depth-first on an explicit stack, with one domain list and
@@ -99,52 +103,72 @@ def protected_pairs(g: OrientedGraph, mode: Mode) -> list:
     """Unordered vertex pairs the mode forces to distinct images: pairs
     inside one in- or out-neighbourhood (IOS) or inside a full
     neighbourhood (IOT), closed neighbourhoods if g is reflexive."""
-    return sorted(_must_differ(g, mode))
+    return sorted(_must_differ(g, mode)[0])
 
 
-def _must_differ(g: OrientedGraph, mode: Mode) -> dict:
-    """Each protected pair (a, b), a < b, mapped to its common heads and
-    its common tails, two increasing lists, from one pass over the
-    neighbourhoods: a pair inside x's in-neighbourhood has head x, a pair
-    inside its out-neighbourhood has tail x.  Every pair with a common
-    head or tail is protected, so these are all of them."""
+def _must_differ(g: OrientedGraph, mode: Mode) -> tuple:
+    """The protected pairs and the protected groups, from one pass over
+    the neighbourhoods.
+
+    Each protected pair (a, b), a < b, is mapped to its common heads and
+    its common tails, two increasing lists: a pair inside x's
+    in-neighbourhood has head x, a pair inside its out-neighbourhood has
+    tail x.  Every pair with a common head or tail is protected, so these
+    are all of them.  Each protected neighbourhood of three or more
+    vertices is a group, a tuple listed at each of its members."""
     pairs = {}
+    groups_at = [[] for _ in range(g.n)]
     if mode is Mode.PLAIN:
-        return pairs
+        return pairs, groups_at
     get = pairs.get
     combinations = itertools.combinations
+    loop = g.reflexive
+    iot = mode is Mode.IOT
     for x, (ins, outs) in enumerate(zip(g.in_nbrs, g.out_nbrs)):
-        for pair in combinations(ins, 2):  # ins is sorted, so a < b
-            sides = get(pair)
-            if sides is None:
-                pairs[pair] = ([x], [])
-            else:
-                sides[0].append(x)
-        for pair in combinations(outs, 2):
-            sides = get(pair)
-            if sides is None:
-                pairs[pair] = ([], [x])
-            else:
-                sides[1].append(x)
+        if len(ins) > 1:
+            for pair in combinations(ins, 2):  # ins is sorted, so a < b
+                sides = get(pair)
+                if sides is None:
+                    pairs[pair] = ([x], [])
+                else:
+                    sides[0].append(x)
+        if len(outs) > 1:
+            for pair in combinations(outs, 2):
+                sides = get(pair)
+                if sides is None:
+                    pairs[pair] = ([], [x])
+                else:
+                    sides[1].append(x)
+        if iot:
+            groups = (ins + outs + (x,),) if loop else (ins + outs,)
+        else:
+            groups = (ins + (x,), outs + (x,)) if loop else (ins, outs)
+        for group in groups:
+            if len(group) > 2:
+                for w in group:
+                    groups_at[w].append(group)
+        if not (iot or loop):
+            continue
         # pairs protected without a common head or tail: across the
         # neighbourhood under iot, and under loops the two ends of each
         # arc, taken here at its head
-        others = [(a, b) if a < b else (b, a) for a in ins for b in outs] if mode is Mode.IOT else []
-        if g.reflexive:
+        others = [(a, b) if a < b else (b, a) for a in ins for b in outs] if iot else []
+        if loop:
             others += [(w, x) if w < x else (x, w) for w in ins]
         for pair in others:
             if pair not in pairs:
                 pairs[pair] = ([], [])
-    return pairs
+    return pairs, groups_at
 
 
 class _Csp:
     """One prepared search instance; not reusable across calls.
 
     The graph side holds, for each vertex, its must-differ partners, its
-    constraint neighbours (arc or must-differ), and the must-differ pairs
-    it belongs to that share an arc neighbour, as (a, b, common heads,
-    common tails)."""
+    constraint neighbours (arc or must-differ), the must-differ pairs it
+    belongs to that share an arc neighbour, as (a, b, common heads,
+    common tails), and the protected groups of three or more vertices it
+    belongs to."""
 
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
@@ -153,7 +177,7 @@ class _Csp:
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         hn = h.n
         self.out_support, self.in_support = _target_tables(h)
-        sides = _must_differ(g, mode)
+        sides, self.groups_at = _must_differ(g, mode)
         diff_adj = [[] for _ in range(g.n)]
         # must-differ pairs sharing an arc neighbour: when the pair's two
         # domains cover only two values, both values are taken, so the
@@ -180,10 +204,19 @@ class _Csp:
                 self.start[v] &= 1 << a
 
     def _propagate(self, dom, stack, trail) -> bool:
-        """Shrink domains to the fixpoint of the constraints, starting from
+        """Shrink domains to the fixpoint of the four rules, starting from
         the vertices in stack.  Every change is logged on trail as (vertex,
         old domain).  A wipeout returns False and leaves its partial
-        changes on trail for the caller to undo."""
+        changes on trail for the caller to undo.
+
+        The two rules on two-valued domains run from a popped vertex v
+        with two values: each rule's premise holds only once some vertex
+        reaches that domain, and that vertex is then pushed, so the
+        fixpoint, and with it every node count, is the one all rules
+        reach in any order.  The naked-pair rule removes only values no
+        solution uses, and a group's members are pairwise must-differ
+        neighbours, so it never reaches across the parts a decision
+        splits off."""
         out_support = self.out_support
         in_support = self.in_support
         out_masks = out_support.masks
@@ -192,6 +225,7 @@ class _Csp:
         in_nbrs = self.g.in_nbrs
         diff_adj = self.diff_adj
         pairs_at = self.pairs_at
+        groups_at = self.groups_at
         log = trail.append
         while stack:
             v = stack.pop()
@@ -260,6 +294,24 @@ class _Csp:
                             log((w, dw))
                             dom[w] = nd
                             stack.append(w)
+            # a naked pair: v and another member of one of its groups have
+            # the same two values, so the two use both of them up
+            for group in groups_at[v]:
+                for twin in group:
+                    if dom[twin] == dv and twin != v:
+                        break
+                else:
+                    continue
+                keep = ~dv
+                for w in group:
+                    dw = dom[w]
+                    if dw & dv and w != v and w != twin:
+                        nd = dw & keep
+                        if not nd:  # a third member on the same two values
+                            return False
+                        log((w, dw))
+                        dom[w] = nd
+                        stack.append(w)
         return True
 
     def _root(self):
@@ -415,16 +467,6 @@ class _Csp:
         below base are left over from earlier splits.
         """
         nbrs = self.constraint_nbrs
-        # seeds joined by constraints among themselves lie in one part
-        reached = {next(iter(seeds))}
-        stack = list(reached)
-        while stack:
-            for x in nbrs[stack.pop()]:
-                if x in seeds and x not in reached:
-                    reached.add(x)
-                    stack.append(x)
-        if len(reached) == len(seeds):
-            return []
         owner = self._owner
         base = self._next_id
         members = []

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from injhom.gadgets import apex_cycle, equalizer, in_star, selector_cycle
 from injhom.graphs import (
     Mode,
     OrientedGraph,
@@ -88,6 +89,26 @@ def _ref_graph_side(g, mode):
     return diff_adj, [sorted(s) for s in nbrs], pairs_at
 
 
+def _ref_groups_at(g, mode):
+    """At each vertex, the protected neighbourhoods of three or more
+    vertices it lies in, each as a sorted tuple, in the order of their
+    centres, in before out."""
+    groups_at = [[] for _ in range(g.n)]
+    if mode is Mode.PLAIN:
+        return groups_at
+    for x in range(g.n):
+        ins = set(g.in_nbrs[x])
+        outs = set(g.out_nbrs[x])
+        if g.reflexive:
+            ins.add(x)
+            outs.add(x)
+        for group in (ins, outs) if mode is Mode.IOS else (ins | outs,):
+            if len(group) > 2:
+                for w in group:
+                    groups_at[w].append(tuple(sorted(group)))
+    return groups_at
+
+
 def test_graph_side_matches_per_pair_derivation():
     rng = random.Random(1212)
     for trial in range(1000):
@@ -99,6 +120,45 @@ def test_graph_side_matches_per_pair_derivation():
             csp = _Csp(g, C3r, mode)
             got = (csp.diff_adj, csp.constraint_nbrs, csp.pairs_at)
             assert got == _ref_graph_side(g, mode), (trial, mode)
+            got = [[tuple(sorted(group)) for group in groups] for groups in csp.groups_at]
+            assert got == _ref_groups_at(g, mode), (trial, mode)
+
+
+def _propagated(g, h, mode, dom, changed):
+    """dom after propagation from the vertices changed, or None on a
+    wipeout."""
+    dom = list(dom)
+    ok = _Csp(g, h, mode)._propagate(dom, list(changed), [])
+    return dom if ok else None
+
+
+def test_naked_pair_takes_both_values_from_the_third_member():
+    # three tails into one head: with two tails on {0, 1}, the third tail
+    # can only take 2, which the arc rules alone do not see
+    g = in_star().graph
+    start = [0b111, 0b011, 0b011, 0b111]
+    dom = _propagated(g, T3r, Mode.IOS, start, [1, 2])
+    assert dom is not None and dom[3] == 0b100
+    assert _propagated(g, T3r, Mode.PLAIN, start, [1, 2])[3] == 0b111
+    # the same two values on all three tails: no room for the third
+    assert _propagated(g, T3r, Mode.IOS, [0b111, 0b011, 0b011, 0b011], [1, 2, 3]) is None
+    # a two-valued domain alone, or two different ones, force no more
+    # than the arc rules do
+    for start in ([0b111, 0b011, 0b111, 0b111], [0b111, 0b011, 0b110, 0b111]):
+        assert _propagated(g, T3r, Mode.IOS, start, [1, 2]) == _propagated(g, T3r, Mode.PLAIN, start, [1, 2])
+
+
+def test_groups_are_the_protected_neighbourhoods():
+    # 1 -> 0 -> 2, 0 -> 3: under iot 0's neighbourhood {1, 2, 3} is one
+    # group; under ios no side of it has three vertices
+    g = OrientedGraph(4, [(1, 0), (0, 2), (0, 3)])
+    assert _Csp(g, T3r, Mode.IOT).groups_at == [[], [(1, 2, 3)], [(1, 2, 3)], [(1, 2, 3)]]
+    assert _Csp(g, T3r, Mode.IOS).groups_at == [[]] * 4
+    # under loops a vertex is in its own neighbourhoods
+    g = OrientedGraph(3, [(1, 0), (2, 0)], reflexive=True)
+    assert [sorted(map(sorted, groups)) for groups in _Csp(g, T3r, Mode.IOS).groups_at] == [[[0, 1, 2]]] * 3
+    # plain mode protects nothing
+    assert _Csp(in_star().graph, T3r, Mode.PLAIN).groups_at == [[]] * 4
 
 
 def test_check_hom_constant_onto_reflexive():
@@ -259,8 +319,49 @@ def test_t3r_hardness_instances_decided_by_parts():
     res = solve(reduce_3edge_to_t3r(bridged_cubic_graph()).graph, T3r, Mode.IOS)
     assert not res.satisfiable and res.nodes_explored < 5_000, res.nodes_explored
     # inputs that never split keep the chronological search's counts
-    assert solve(reduce_3edge_to_t3r(complete_graph(4)).graph, T3r, Mode.IOS).nodes_explored == 62
-    assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 84
+    assert solve(reduce_3edge_to_t3r(complete_graph(4)).graph, T3r, Mode.IOS).nodes_explored == 49
+    assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 71
+
+
+def random_cubic(n, seed):
+    """A connected cubic graph on n vertices from the configuration model:
+    3n stubs shuffled by one generator and paired in order, the whole draw
+    repeated on a loop, a repeated edge or a disconnected graph."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = set()
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            edge = (min(u, v), max(u, v))
+            if u == v or edge in edges:
+                break
+            edges.add(edge)
+        else:
+            g = SimpleGraph(n, edges)
+            if g.is_connected():
+                return g
+
+
+def test_t3r_random_cubic_instances_stay_off_the_heavy_tail():
+    # 2,440-vertex instances; without the naked-pair rule seed 6 ios took
+    # 114,427 nodes and several iot runs over 10 s
+    for seed in (5, 6):
+        src = random_cubic(40, seed)
+        for mode in (Mode.IOS, Mode.IOT):
+            inst = reduce_3edge_to_t3r(src, mode)
+            res = solve(inst.graph, T3r, mode)
+            assert res.satisfiable and res.nodes_explored < 2_000, (seed, mode, res.nodes_explored)
+            f = res.witness.map
+            assert check_hom(inst.graph, T3r, f, mode)
+            # each leaf's image is the colour of its edge; both ends agree
+            colour = {}
+            for x, y in src.edges:
+                ends = {f[inst.vertex_roles(v)[f"leaf{src.edge_index(v, (x, y))}"]] for v in (x, y)}
+                assert len(ends) == 1, (seed, mode, (x, y))
+                colour[(x, y)] = ends.pop()
+            for v in range(src.n):
+                assert len({c for e, c in colour.items() if v in e}) == 3, (seed, mode, v)
 
 
 def test_two_vertex_targets_take_at_most_two_nodes_per_vertex():
@@ -413,14 +514,16 @@ class RecursiveSearch:
     """The search as one recursion per level, copying every domain at every
     node and scanning every vertex for the branch choice.  The solver's
     explicit-stack search must yield the same solutions in the same order
-    after the same number of nodes.  The constraint tables come from _Csp;
-    the value masks are rebuilt here from the target."""
+    after the same number of nodes.  The pair tables come from _Csp; the
+    value masks are rebuilt here from the target and the protected groups
+    from the graph."""
 
     def __init__(self, g, h, mode, pins=None):
         self.csp = _Csp(g, h, mode, pins)
         self.g = g
         self.h = h
         self.nodes = 0
+        self.groups_at = _ref_groups_at(g, mode)
         self.out_mask = [0] * h.n
         self.in_mask = [0] * h.n
         for a, b in h.arcs:
@@ -492,6 +595,19 @@ class RecursiveSearch:
                                 return False
                             dom[w] = nd
                             stack.append(w)
+            # two members of a group on the same two values use them up
+            for group in self.groups_at[v]:
+                for a, b in itertools.combinations(group, 2):
+                    pair = dom[a]
+                    if pair.bit_count() != 2 or dom[b] != pair:
+                        continue
+                    for w in group:
+                        nd = dom[w] & ~pair
+                        if w not in (a, b) and nd != dom[w]:
+                            if not nd:
+                                return False
+                            dom[w] = nd
+                            stack.append(w)
         return True
 
     def solutions(self):
@@ -545,7 +661,9 @@ class RecursiveSearch:
 
 def reference_corpus():
     """Seeded small inputs: all three modes, reflexive inputs, pins, and
-    targets from two to five vertices, reflexive or not."""
+    targets from two to five vertices, reflexive or not; then the forcing
+    gadgets and the T3r instance of K4, where two members of a protected
+    neighbourhood often share two values."""
     rng = random.Random(50)
     targets = (T2r, T3, C3r, T3r, U4, build_named("U4r"), build_named("U5r"))
     for _ in range(300):
@@ -556,6 +674,11 @@ def reference_corpus():
         h = targets[rng.randrange(len(targets))]
         pins = {rng.randrange(n): rng.randrange(h.n)} if rng.random() < 0.25 else None
         yield g, h, MODES[rng.randrange(3)], pins
+    for mode in (Mode.IOS, Mode.IOT):
+        k4 = reduce_3edge_to_t3r(complete_graph(4), mode).graph
+        for g in (equalizer().graph, apex_cycle(1).graph, selector_cycle(2).graph, k4):
+            for h in (T3r, C3r, U4):
+                yield g, h, mode, None
 
 
 def test_search_matches_recursive_reference():
