@@ -2,22 +2,23 @@
 
 A (G, H, mode) question becomes a binary constraint problem: one variable
 per vertex of G with domain V(H), arc constraints for arc preservation,
-and difference constraints between any two vertices that appear together
-in a neighbourhood the mode protects.  Propagation has four rules, so
-the forcing gadgets collapse by unit propagation instead of search:
-arc support in both directions, singleton elimination on must-differ
-pairs, the pair-union rule (the arc neighbours of a two-valued
-must-differ pair may take only the intersection of its two values'
-masks), and the naked-pair rule (two members of one protected
-neighbourhood on the same two values use both up, so its other members
-lose them: the size-two Hall sets of the neighbourhood's all-different
-constraint).  Domains are bitmasks.  Each target value has an out- and
-an in-mask, its loop included; the values an arc neighbour may take are
-read from tables that map a domain mask to the union of its values'
-masks.  The masks and tables are shared between searches against equal
-targets, and the transfer DP in poly steps its layers through the same
-kind of table.  The input's side of the problem reads the graph's own
-neighbour lists and is built afresh for each search.
+and an all-different constraint on each neighbourhood the mode protects.
+The protected neighbourhoods are listed once, at each of their members,
+and the three difference rules all walk that list.  Propagation has four
+rules, so the forcing gadgets collapse by unit propagation instead of
+search: arc support in both directions, singleton elimination, the
+naked-pair rule (two members of one protected neighbourhood on the same
+two values use both up, so its other members lose them: the size-two
+Hall sets of the all-different constraint), and the pair-union rule (when
+those two are both in- or both out-neighbours of the centre, the centre
+may take only the intersection of the two values' masks).  Domains are
+bitmasks.  Each target value has an out- and an in-mask, its loop
+included; the values an arc neighbour may take are read from tables that
+map a domain mask to the union of its values' masks.  The masks and
+tables are shared between searches against equal targets, and the
+transfer DP in poly steps its layers through the same kind of table.
+The input's side of the problem reads the graph's own neighbour lists
+and is built afresh for each search.
 
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
@@ -103,72 +104,36 @@ def protected_pairs(g: OrientedGraph, mode: Mode) -> list:
     """Unordered vertex pairs the mode forces to distinct images: pairs
     inside one in- or out-neighbourhood (IOS) or inside a full
     neighbourhood (IOT), closed neighbourhoods if g is reflexive."""
-    return sorted(_must_differ(g, mode)[0])
+    return sorted({(a, b) if a < b else (b, a)
+                   for _, members in _neighbourhoods(g, mode)
+                   for a, b in itertools.combinations(members, 2)})
 
 
-def _must_differ(g: OrientedGraph, mode: Mode) -> tuple:
-    """The protected pairs and the protected groups, from one pass over
-    the neighbourhoods.
-
-    Each protected pair (a, b), a < b, is mapped to its common heads and
-    its common tails, two increasing lists: a pair inside x's
-    in-neighbourhood has head x, a pair inside its out-neighbourhood has
-    tail x.  Every pair with a common head or tail is protected, so these
-    are all of them.  Each protected neighbourhood of three or more
-    vertices is a group, a tuple listed at each of its members."""
-    pairs = {}
-    groups_at = [[] for _ in range(g.n)]
+def _neighbourhoods(g: OrientedGraph, mode: Mode) -> Iterator[tuple]:
+    """The neighbourhoods the mode protects that have two or more members,
+    as (centre, members): each in- and each out-neighbourhood under ios,
+    the whole neighbourhood under iot, with the centre itself under loops.
+    The mode makes each of them an all-different constraint."""
     if mode is Mode.PLAIN:
-        return pairs, groups_at
-    get = pairs.get
-    combinations = itertools.combinations
+        return
     loop = g.reflexive
     iot = mode is Mode.IOT
     for x, (ins, outs) in enumerate(zip(g.in_nbrs, g.out_nbrs)):
-        if len(ins) > 1:
-            for pair in combinations(ins, 2):  # ins is sorted, so a < b
-                sides = get(pair)
-                if sides is None:
-                    pairs[pair] = ([x], [])
-                else:
-                    sides[0].append(x)
-        if len(outs) > 1:
-            for pair in combinations(outs, 2):
-                sides = get(pair)
-                if sides is None:
-                    pairs[pair] = ([], [x])
-                else:
-                    sides[1].append(x)
         if iot:
-            groups = (ins + outs + (x,),) if loop else (ins + outs,)
+            sides = (ins + outs + (x,),) if loop else (ins + outs,)
         else:
-            groups = (ins + (x,), outs + (x,)) if loop else (ins, outs)
-        for group in groups:
-            if len(group) > 2:
-                for w in group:
-                    groups_at[w].append(group)
-        if not (iot or loop):
-            continue
-        # pairs protected without a common head or tail: across the
-        # neighbourhood under iot, and under loops the two ends of each
-        # arc, taken here at its head
-        others = [(a, b) if a < b else (b, a) for a in ins for b in outs] if iot else []
-        if loop:
-            others += [(w, x) if w < x else (x, w) for w in ins]
-        for pair in others:
-            if pair not in pairs:
-                pairs[pair] = ([], [])
-    return pairs, groups_at
+            sides = (ins + (x,), outs + (x,)) if loop else (ins, outs)
+        for members in sides:
+            if len(members) > 1:
+                yield x, members
 
 
 class _Csp:
     """One prepared search instance; not reusable across calls.
 
-    The graph side holds, for each vertex, its must-differ partners, its
-    constraint neighbours (arc or must-differ), the must-differ pairs it
-    belongs to that share an arc neighbour, as (a, b, common heads,
-    common tails), and the protected groups of three or more vertices it
-    belongs to."""
+    The graph side holds, for each vertex, the protected neighbourhoods it
+    belongs to, as (centre, members), and its constraint neighbours (arc
+    neighbours and the other members of those neighbourhoods)."""
 
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
@@ -177,23 +142,22 @@ class _Csp:
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         hn = h.n
         self.out_support, self.in_support = _target_tables(h)
-        sides, self.groups_at = _must_differ(g, mode)
-        diff_adj = [[] for _ in range(g.n)]
-        # must-differ pairs sharing an arc neighbour: when the pair's two
-        # domains cover only two values, both values are taken, so the
-        # shared neighbour is constrained by both at once
-        pairs_at = [[] for _ in range(g.n)]
-        for (a, b), (heads, tails) in sorted(sides.items()):
-            diff_adj[a].append(b)
-            diff_adj[b].append(a)
-            if heads or tails:
-                entry = (a, b, tuple(heads), tuple(tails))
-                pairs_at[a].append(entry)
-                pairs_at[b].append(entry)
-        self.diff_adj = diff_adj
-        self.constraint_nbrs = [sorted({*outs, *ins, *diffs})
-                                for outs, ins, diffs in zip(g.out_nbrs, g.in_nbrs, diff_adj)]
-        self.pairs_at = pairs_at
+        nbhds_at = [[] for _ in range(g.n)]
+        for entry in _neighbourhoods(g, mode):
+            for w in entry[1]:
+                nbhds_at[w].append(entry)
+        self.nbhds_at = nbhds_at
+        nbrs = []
+        for v, (outs, ins, entries) in enumerate(zip(g.out_nbrs, g.in_nbrs, nbhds_at)):
+            if entries:
+                near = {*outs, *ins}
+                for _, members in entries:
+                    near.update(members)
+                near.discard(v)
+                nbrs.append(sorted(near))
+            else:
+                nbrs.append(sorted(outs + ins))
+        self.constraint_nbrs = nbrs
         self.start = [(1 << hn) - 1] * g.n
         if pins:
             for v, a in pins.items():
@@ -209,23 +173,30 @@ class _Csp:
         old domain).  A wipeout returns False and leaves its partial
         changes on trail for the caller to undo.
 
-        The two rules on two-valued domains run from a popped vertex v
-        with two values: each rule's premise holds only once some vertex
-        reaches that domain, and that vertex is then pushed, so the
-        fixpoint, and with it every node count, is the one all rules
-        reach in any order.  The naked-pair rule removes only values no
-        solution uses, and a group's members are pairwise must-differ
-        neighbours, so it never reaches across the parts a decision
-        splits off."""
+        The three difference rules walk the popped vertex v's protected
+        neighbourhoods.  A singleton v takes its value from the other
+        members.  A two-valued v looks in each neighbourhood for a twin,
+        another member with the same two values: the two use both values
+        up, so the other members lose them (the naked-pair rule), and when
+        v and the twin are both in-neighbours, or both out-neighbours, of
+        the centre, the centre may take only values that both of the two
+        values reach (the pair-union rule).  Each rule's premise holds only
+        once some vertex reaches that domain, and that vertex is then
+        pushed, so the fixpoint, and with it every node count, is the one
+        all rules reach in any order.  A pair with a singleton member is
+        never a twin: the singleton rule and the arc rules force its
+        common neighbours as far as the pair-union rule would.  The
+        naked-pair rule removes only values no solution uses, and the
+        members of a neighbourhood are pairwise constraint neighbours, so
+        it never reaches across the parts a decision splits off."""
         out_support = self.out_support
         in_support = self.in_support
         out_masks = out_support.masks
         in_masks = in_support.masks
         out_nbrs = self.g.out_nbrs
         in_nbrs = self.g.in_nbrs
-        diff_adj = self.diff_adj
-        pairs_at = self.pairs_at
-        groups_at = self.groups_at
+        arcs = self.g.arcs
+        nbhds_at = self.nbhds_at
         log = trail.append
         while stack:
             v = stack.pop()
@@ -252,62 +223,41 @@ class _Csp:
                         log((u, du))
                         dom[u] = nd
                         stack.append(u)
-            if dv & (dv - 1) == 0:  # singleton: push difference constraints
-                for w in diff_adj[v]:
-                    dw = dom[w]
-                    nd = dw & ~dv
-                    if nd != dw:
-                        if not nd:
-                            return False
-                        log((w, dw))
-                        dom[w] = nd
-                        stack.append(w)
-            if dv.bit_count() != 2:
-                # a pair covering two values with v in it has v's two
-                # values, or v is a singleton: then the singleton rule
-                # decides v's partner, and the arc rules force the shared
-                # neighbours as far as the pair rule would
+            single = dv & (dv - 1) == 0
+            if not single and dv.bit_count() != 2:
                 continue
-            x = (dv & -dv).bit_length() - 1  # v's two values
-            y = dv.bit_length() - 1
-            for a, b, heads, tails in pairs_at[v]:
-                if dom[a] | dom[b] != dv:  # the partner holds a value outside v's
-                    continue
-                both_out = out_masks[x] & out_masks[y]
-                for w in heads:
-                    dw = dom[w]
-                    nd = dw & both_out
-                    if nd != dw:
-                        if not nd:
-                            return False
-                        log((w, dw))
-                        dom[w] = nd
-                        stack.append(w)
-                if tails:
-                    both_in = in_masks[x] & in_masks[y]
-                    for w in tails:
-                        dw = dom[w]
-                        nd = dw & both_in
+            keep = ~dv
+            for centre, members in nbhds_at[v]:
+                if single:  # the other members lose v's value
+                    twin = v
+                else:  # a twin on v's two values: the others lose both
+                    for twin in members:
+                        if dom[twin] == dv and twin != v:
+                            break
+                    else:
+                        continue
+                    if (v, centre) in arcs and (twin, centre) in arcs:
+                        masks = out_masks  # the centre is a common head
+                    elif (centre, v) in arcs and (centre, twin) in arcs:
+                        masks = in_masks  # a common tail
+                    else:
+                        masks = None  # mixed sides, or the twin is the centre
+                    if masks is not None:
+                        x = (dv & -dv).bit_length() - 1  # v's two values
+                        y = dv.bit_length() - 1
+                        dw = dom[centre]
+                        nd = dw & masks[x] & masks[y]
                         if nd != dw:
                             if not nd:
                                 return False
-                            log((w, dw))
-                            dom[w] = nd
-                            stack.append(w)
-            # a naked pair: v and another member of one of its groups have
-            # the same two values, so the two use both of them up
-            for group in groups_at[v]:
-                for twin in group:
-                    if dom[twin] == dv and twin != v:
-                        break
-                else:
-                    continue
-                keep = ~dv
-                for w in group:
+                            log((centre, dw))
+                            dom[centre] = nd
+                            stack.append(centre)
+                for w in members:
                     dw = dom[w]
                     if dw & dv and w != v and w != twin:
                         nd = dw & keep
-                        if not nd:  # a third member on the same two values
+                        if not nd:  # w held nothing but v's values
                             return False
                         log((w, dw))
                         dom[w] = nd

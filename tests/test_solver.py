@@ -89,13 +89,13 @@ def _ref_graph_side(g, mode):
     return diff_adj, [sorted(s) for s in nbrs], pairs_at
 
 
-def _ref_groups_at(g, mode):
-    """At each vertex, the protected neighbourhoods of three or more
-    vertices it lies in, each as a sorted tuple, in the order of their
-    centres, in before out."""
-    groups_at = [[] for _ in range(g.n)]
+def _ref_nbhds_at(g, mode):
+    """At each vertex, the protected neighbourhoods of two or more
+    vertices it lies in, as (centre, sorted members), in the order of
+    their centres, in before out."""
+    nbhds_at = [[] for _ in range(g.n)]
     if mode is Mode.PLAIN:
-        return groups_at
+        return nbhds_at
     for x in range(g.n):
         ins = set(g.in_nbrs[x])
         outs = set(g.out_nbrs[x])
@@ -103,10 +103,14 @@ def _ref_groups_at(g, mode):
             ins.add(x)
             outs.add(x)
         for group in (ins, outs) if mode is Mode.IOS else (ins | outs,):
-            if len(group) > 2:
+            if len(group) > 1:
                 for w in group:
-                    groups_at[w].append(tuple(sorted(group)))
-    return groups_at
+                    nbhds_at[w].append((x, tuple(sorted(group))))
+    return nbhds_at
+
+
+def _sorted_nbhds_at(csp):
+    return [[(centre, tuple(sorted(members))) for centre, members in entries] for entries in csp.nbhds_at]
 
 
 def test_graph_side_matches_per_pair_derivation():
@@ -118,10 +122,8 @@ def test_graph_side_matches_per_pair_derivation():
         for mode in MODES:
             assert protected_pairs(g, mode) == _ref_protected_pairs(g, mode), (trial, mode)
             csp = _Csp(g, C3r, mode)
-            got = (csp.diff_adj, csp.constraint_nbrs, csp.pairs_at)
-            assert got == _ref_graph_side(g, mode), (trial, mode)
-            got = [[tuple(sorted(group)) for group in groups] for groups in csp.groups_at]
-            assert got == _ref_groups_at(g, mode), (trial, mode)
+            assert csp.constraint_nbrs == _ref_graph_side(g, mode)[1], (trial, mode)
+            assert _sorted_nbhds_at(csp) == _ref_nbhds_at(g, mode), (trial, mode)
 
 
 def _propagated(g, h, mode, dom, changed):
@@ -148,17 +150,39 @@ def test_naked_pair_takes_both_values_from_the_third_member():
         assert _propagated(g, T3r, Mode.IOS, start, [1, 2]) == _propagated(g, T3r, Mode.PLAIN, start, [1, 2])
 
 
+def test_pair_union_cuts_the_common_head():
+    # hat 0 -> 1 <- 2 under ios: with both tails on {0, 1} they take both
+    # values, so the head may take only what 0 and 1 both reach in T3r
+    start = [0b011, 0b111, 0b011]
+    assert _propagated(hat(), T3r, Mode.PLAIN, start, [0, 2]) == start
+    assert _propagated(hat(), T3r, Mode.IOS, start, [0, 2]) == [0b011, 0b110, 0b011]
+    # 0 -> 1 -> 2 under iot: the twins sit on both sides of the centre,
+    # which is then no common head or tail
+    g = directed_path(3)
+    want = _propagated(g, T3r, Mode.PLAIN, start, [0, 2])
+    assert _propagated(g, T3r, Mode.IOT, start, [0, 2]) == want
+    # a reflexive arc 0 -> 1: the twin of 0 in 1's closed in-neighbourhood
+    # is the centre itself, which is no head of the pair
+    g = OrientedGraph(2, [(0, 1)], reflexive=True)
+    for mode in (Mode.IOS, Mode.IOT):
+        assert _propagated(g, T3r, mode, [0b011, 0b011], [0, 1]) == [0b011, 0b011]
+
+
 def test_groups_are_the_protected_neighbourhoods():
-    # 1 -> 0 -> 2, 0 -> 3: under iot 0's neighbourhood {1, 2, 3} is one
-    # group; under ios no side of it has three vertices
+    # 1 -> 0 -> 2, 0 -> 3: under iot 0's neighbourhood is {1, 2, 3};
+    # under ios only its out-neighbourhood has two members
     g = OrientedGraph(4, [(1, 0), (0, 2), (0, 3)])
-    assert _Csp(g, T3r, Mode.IOT).groups_at == [[], [(1, 2, 3)], [(1, 2, 3)], [(1, 2, 3)]]
-    assert _Csp(g, T3r, Mode.IOS).groups_at == [[]] * 4
+    assert _sorted_nbhds_at(_Csp(g, T3r, Mode.IOT)) == [[], [(0, (1, 2, 3))], [(0, (1, 2, 3))], [(0, (1, 2, 3))]]
+    assert _sorted_nbhds_at(_Csp(g, T3r, Mode.IOS)) == [[], [], [(0, (2, 3))], [(0, (2, 3))]]
     # under loops a vertex is in its own neighbourhoods
     g = OrientedGraph(3, [(1, 0), (2, 0)], reflexive=True)
-    assert [sorted(map(sorted, groups)) for groups in _Csp(g, T3r, Mode.IOS).groups_at] == [[[0, 1, 2]]] * 3
+    assert _sorted_nbhds_at(_Csp(g, T3r, Mode.IOS)) == [
+        [(0, (0, 1, 2)), (1, (0, 1)), (2, (0, 2))],
+        [(0, (0, 1, 2)), (1, (0, 1))],
+        [(0, (0, 1, 2)), (2, (0, 2))],
+    ]
     # plain mode protects nothing
-    assert _Csp(in_star().graph, T3r, Mode.PLAIN).groups_at == [[]] * 4
+    assert _Csp(in_star().graph, T3r, Mode.PLAIN).nbhds_at == [[]] * 4
 
 
 def test_check_hom_constant_onto_reflexive():
@@ -514,16 +538,20 @@ class RecursiveSearch:
     """The search as one recursion per level, copying every domain at every
     node and scanning every vertex for the branch choice.  The solver's
     explicit-stack search must yield the same solutions in the same order
-    after the same number of nodes.  The pair tables come from _Csp; the
-    value masks are rebuilt here from the target and the protected groups
-    from the graph."""
+    after the same number of nodes.  It keeps the rules as three
+    structures derived here from the graph (must-differ partners, pairs
+    with their common heads and tails, and neighbourhoods of three or
+    more), not the solver's one list of neighbourhoods; the value masks
+    are rebuilt from the target.  Only the start domains and the
+    infeasible flag come from _Csp."""
 
     def __init__(self, g, h, mode, pins=None):
         self.csp = _Csp(g, h, mode, pins)
         self.g = g
         self.h = h
         self.nodes = 0
-        self.groups_at = _ref_groups_at(g, mode)
+        self.diff_adj, self.constraint_nbrs, self.pairs_at = _ref_graph_side(g, mode)
+        self.groups_at = [[m for _, m in entries if len(m) > 2] for entries in _ref_nbhds_at(g, mode)]
         self.out_mask = [0] * h.n
         self.in_mask = [0] * h.n
         for a, b in h.arcs:
@@ -565,14 +593,14 @@ class RecursiveSearch:
                         dom[u] = nd
                         stack.append(u)
             if dv & (dv - 1) == 0:
-                for w in self.csp.diff_adj[v]:
+                for w in self.diff_adj[v]:
                     nd = dom[w] & ~dv
                     if nd != dom[w]:
                         if not nd:
                             return False
                         dom[w] = nd
                         stack.append(w)
-            for a, b, heads, tails in self.csp.pairs_at[v]:
+            for a, b, heads, tails in self.pairs_at[v]:
                 union = dom[a] | dom[b]
                 if union.bit_count() != 2:
                     continue
@@ -634,7 +662,7 @@ class RecursiveSearch:
             if fallback < 0:
                 fallback = v
             on_frontier = False
-            for w in self.csp.constraint_nbrs[v]:
+            for w in self.constraint_nbrs[v]:
                 dw = dom[w]
                 if dw & (dw - 1) == 0:
                     on_frontier = True
@@ -663,7 +691,9 @@ def reference_corpus():
     """Seeded small inputs: all three modes, reflexive inputs, pins, and
     targets from two to five vertices, reflexive or not; then the forcing
     gadgets and the T3r instance of K4, where two members of a protected
-    neighbourhood often share two values."""
+    neighbourhood often share two values; then reflexive copies of the
+    equalizer and the in-star, where a centre lies in its own
+    neighbourhoods."""
     rng = random.Random(50)
     targets = (T2r, T3, C3r, T3r, U4, build_named("U4r"), build_named("U5r"))
     for _ in range(300):
@@ -679,6 +709,9 @@ def reference_corpus():
         for g in (equalizer().graph, apex_cycle(1).graph, selector_cycle(2).graph, k4):
             for h in (T3r, C3r, U4):
                 yield g, h, mode, None
+        for g in (equalizer().graph, in_star().graph):
+            for h in (T3r, C3r):
+                yield OrientedGraph(g.n, g.arcs, reflexive=True), h, mode, None
 
 
 def test_search_matches_recursive_reference():
