@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import operator
 import sys
 
 from .chromatic import ChiCapError, chi
@@ -59,7 +60,11 @@ def _write_map(images) -> None:
 
 
 def _print_witness(spec: TargetSpec, witness) -> None:
-    _write_map(map(target_labels(spec).__getitem__, witness))
+    """One 'v -> label' line per vertex v, in one write; each label's
+    ' -> label' tail is built once."""
+    tails = [f" -> {label}\n" for label in target_labels(spec)]
+    lines = map(operator.add, map(str, itertools.count()), map(tails.__getitem__, witness))
+    sys.stdout.write("".join(lines))
 
 
 def _cmd_decide(args) -> int:

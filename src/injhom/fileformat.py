@@ -6,10 +6,12 @@ lines anywhere, a header ``n m`` optionally followed by the word
 The same layout doubles for undirected graphs, where each line is an
 edge and the reflexive token is not allowed.
 
-The body is checked in bulk: split into rows once, converted a column
-at a time, and checked for range, loops, repeats and opposite arcs with
-min/max and set operations.  A body that fails the bulk check is read
-again line by line; that loop reports the first bad line.  The parsed
+The body is checked in bulk, as one token list: the m lines must each
+split into two tokens, one int map converts all of them, and min/max
+and set operations check range, loops, repeats and opposite arcs.
+Blank and comment lines are dropped first, and only from a body longer
+than m lines.  A body that fails the bulk check is read again line by
+line; that loop reports the first bad line.  The parsed
 graph is built from the checked arcs without the constructor's own
 check, so each file is checked once.
 """
@@ -17,7 +19,6 @@ check, so each file is checked once.
 from __future__ import annotations
 
 import operator
-from itertools import chain
 from typing import Iterable
 
 from .graphs import OrientedGraph
@@ -60,21 +61,26 @@ def _parse_header(lineno: int, line: str, allow_reflexive: bool):
 
 
 def _bulk_arcs(body, n: int, m: int):
-    """The body's arcs as a frozenset of (u, v), checked a column at a
-    time; None when any check fails, and then _parse_body names the line."""
-    rows = [row for row in map(str.split, body) if row and row[0][0] != "#"]
-    if len(rows) != m or set(map(len, rows)) - {2}:
+    """The body's arcs as a frozenset of (u, v), checked as one token
+    list; None when any check fails, and then _parse_body names the line.
+    Blank and comment lines are dropped only from a body longer than m
+    lines, so the usual file of exactly m arc lines is not copied."""
+    if len(body) > m:
+        body = [line for line in body if line.strip()[:1] not in ("", "#")]
+    if len(body) != m:
         return None
     if not m:
         return frozenset()
-    tokens = list(chain.from_iterable(rows))
-    try:
-        us = list(map(int, tokens[0::2]))
-        vs = list(map(int, tokens[1::2]))
-    except ValueError:
+    if set(map(len, map(str.split, body))) != {2}:
         return None
+    try:
+        tokens = list(map(int, " ".join(body).split()))
+    except ValueError:  # a non-integer token, or a comment line of two tokens
+        return None
+    us = tokens[0::2]
+    vs = tokens[1::2]
     arcs = frozenset(zip(us, vs))
-    if (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
+    if (min(tokens) < 0 or max(tokens) >= n
             or any(map(operator.eq, us, vs)) or len(arcs) != m
             or not arcs.isdisjoint(zip(vs, us))):
         return None

@@ -7,8 +7,9 @@ paths and cycles.  The DP keeps each layer of states as one int bitmask
 and steps a layer through a per-call mask table from mask to next mask,
 so each walk vertex costs one dict lookup once the table has seen its
 mask; the per-state masks it unions are built once per target.
-One pass over the arcs lists each vertex's walk neighbours, unsorted,
-and stops at the first vertex with a third, so this route builds no in-,
+One pass over the arcs fills two flat lists, each vertex's first and
+second walk neighbour (unsorted, -1 for none), and stops at the first
+vertex with a third, so this route builds no list per vertex and no in-,
 out- or sorted neighbour lists.  Where the input branches, the tractable pairs -- T1,
 T2, C3, T3 (where the ios and iot questions coincide), T1r under both
 modes and T2r under iot -- answer no, since none of them leaves a vertex
@@ -71,18 +72,26 @@ def _tables(h: OrientedGraph) -> tuple:
 
 
 def _walk_nbrs(g: OrientedGraph):
-    """Each vertex's underlying neighbours as a list in no set order, or
-    None as soon as some vertex has a third: g branches.  g is oriented,
-    so no pair of vertices is met twice."""
-    nbrs = [[] for _ in range(g.n)]
+    """Each vertex's first and second underlying neighbour, in no set
+    order, as two flat lists with -1 for none; None as soon as some vertex
+    has a third: g branches.  g is oriented, so no pair of vertices is met
+    twice."""
+    first = [-1] * g.n
+    second = [-1] * g.n
     for u, v in g.arcs:
-        at_u = nbrs[u]
-        at_v = nbrs[v]
-        if len(at_u) == 2 or len(at_v) == 2:
+        if first[u] < 0:
+            first[u] = v
+        elif second[u] < 0:
+            second[u] = v
+        else:
             return None
-        at_u.append(v)
-        at_v.append(u)
-    return nbrs
+        if first[v] < 0:
+            first[v] = u
+        elif second[v] < 0:
+            second[v] = u
+        else:
+            return None
+    return first, second
 
 
 def _component_orders(nbrs):
@@ -92,17 +101,20 @@ def _component_orders(nbrs):
     vertex's lower neighbour.  Only a start vertex's neighbours need an
     order: from any other vertex the walk goes on to the neighbour it did
     not come from."""
-    seen = [False] * len(nbrs)
-    for v, ends in enumerate(nbrs):
-        if seen[v] or not ends:
+    first, second = nbrs
+    seen = [False] * len(first)
+    for v, a in enumerate(first):
+        if seen[v] or a < 0:
             continue
-        ends = sorted(ends)
-        ahead = _walk_away(nbrs, v, ends[0])
-        is_cycle = len(nbrs[ahead[-1]]) == 2  # the walk came back round to v
+        b = second[v]
+        if a > b >= 0:
+            a, b = b, a
+        ahead = _walk_away(first, second, v, a)
+        is_cycle = second[ahead[-1]] >= 0  # the walk came back round to v
         if is_cycle:
             order = [v] + ahead
         else:
-            behind = _walk_away(nbrs, v, ends[1]) if len(ends) == 2 else []
+            behind = _walk_away(first, second, v, b) if b >= 0 else []
             order = behind[::-1] + [v] + ahead
             if order[-1] < order[0]:
                 order.reverse()
@@ -111,17 +123,19 @@ def _component_orders(nbrs):
         yield is_cycle, order
 
 
-def _walk_away(nbrs, start, cur) -> list:
+def _walk_away(first, second, start, cur) -> list:
     """The vertices from cur on, stepping away from start, up to a path
     end or back round to start (not included)."""
     walk = []
     prev = start
     while cur != start:
         walk.append(cur)
-        ends = nbrs[cur]
-        if len(ends) == 1:
-            break
-        prev, cur = cur, ends[1] if ends[0] == prev else ends[0]
+        nxt = first[cur]
+        if nxt == prev:
+            nxt = second[cur]
+            if nxt < 0:  # a path end
+                break
+        prev, cur = cur, nxt
     return walk
 
 

@@ -22,7 +22,8 @@ class SimpleGraph:
     """Undirected simple graph on 0..n-1 with a per-vertex ordering of
     incident edges (the numbering the constructions index gadget ports
     by).  Default ordering sorts by the other endpoint; pass edge_order
-    to exercise a different numbering."""
+    to exercise a different numbering.  Each vertex's incident edges are
+    indexed once, so the queries below do not scan the edge set."""
 
     n: int
     edges: frozenset
@@ -36,6 +37,11 @@ class SimpleGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             norm.add((min(u, v), max(u, v)))
+        # in sorted order, each vertex's edges arrive sorted by the other endpoint
+        rows = [[] for _ in range(n)]
+        for e in sorted(norm):
+            rows[e[0]].append(e)
+            rows[e[1]].append(e)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
         if edge_order is not None:
@@ -43,29 +49,26 @@ class SimpleGraph:
             if len(edge_order) != n:
                 raise ValueError("edge_order needs one row per vertex")
             for v in range(n):
-                if sorted(edge_order[v]) != sorted(self._incident_sorted(v)):
+                if sorted(edge_order[v]) != rows[v]:
                     raise ValueError(f"edge_order[{v}] is not a permutation of incident edges")
         object.__setattr__(self, "edge_order", edge_order)
-
-    def _incident_sorted(self, v: int) -> list:
-        return sorted(e for e in self.edges if v in e)
+        index = tuple(map(tuple, rows)) if edge_order is None else edge_order
+        object.__setattr__(self, "_incident", index)
 
     def incident(self, v: int) -> tuple:
         """Incident edges of v in this graph's fixed order."""
-        if self.edge_order is not None:
-            return self.edge_order[v]
-        return tuple(sorted((e for e in self.edges if v in e), key=lambda e: e[0] + e[1] - v))
+        return self._incident[v]
 
     def edge_index(self, v: int, edge) -> int:
         """1-based position of edge in v's incident ordering."""
         edge = (min(edge), max(edge))
-        return self.incident(v).index(edge) + 1
+        return self._incident[v].index(edge) + 1
 
     def neighbours(self, v: int) -> list:
-        return sorted((a + b - v) for a, b in self.edges if v in (a, b))
+        return sorted(a + b - v for a, b in self._incident[v])
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._incident[v])
 
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
@@ -91,7 +94,7 @@ def with_random_edge_order(g: SimpleGraph, rng) -> SimpleGraph:
     """Same graph, incident edges shuffled independently per vertex."""
     rows = []
     for v in range(g.n):
-        row = list(g._incident_sorted(v))
+        row = sorted(g.incident(v))
         rng.shuffle(row)
         rows.append(row)
     return SimpleGraph(g.n, g.edges, edge_order=rows)

@@ -222,14 +222,52 @@ def _mutate(text, n, rng):
     return sep.join(lines) + rng.choice(["", sep])
 
 
+def _layout_cases(text, rng):
+    """Edge cases of the bulk check's layout, from the edge-list text of
+    a graph: the exact layout with CRLF or tab separators, a two-token
+    comment line standing in for an arc line or added to the body,
+    trailing blank lines, and blank and comment lines among the arcs."""
+    head, *body = text.split("\n")[:-1]
+    tabbed = [line.replace(" ", "\t") for line in body]
+    yield text.replace("\n", "\r\n")
+    yield "\n".join([head] + tabbed) + "\n"
+    yield "\r\n".join([head] + tabbed)
+    yield text + rng.choice(["\n", "\n\n", "  \n\t\n", "\r\n\r\n"])
+    for extra in ("\t#x 1", "# 0 1", ""):
+        spliced = list(body)
+        at = rng.randint(0, len(body))
+        if body and rng.random() < 0.5:
+            spliced[min(at, len(body) - 1)] = extra  # still m lines
+        else:
+            spliced.insert(at, extra)
+        yield "\n".join([head] + spliced) + "\n"
+    mixed = list(body)
+    for extra in rng.sample(["", "  ", "# note", "\t#x 1", "#"], 3):
+        mixed.insert(rng.randint(0, len(mixed)), extra)
+    yield "\n".join([head] + mixed) + rng.choice(["", "\n", "\n\n"])
+
+
 def _mutated_corpus():
-    """600 seeded edge-list texts, each with one to three edits."""
+    """600 seeded edge-list texts, each with one to three edits, then the
+    layout edge cases of 40 more graphs and bodies of m = 0."""
     rng = random.Random(808)
     for trial in range(600):
         n = rng.randrange(0, 9)
         g = random_oriented_graph(n, rng, arc_chance=rng.random())
         comments = ["a comment"] if rng.random() < 0.3 else ()
         yield trial, _mutate(format_edge_list(g, comments=comments), n, rng)
+    rng = random.Random(810)
+    trial = 600
+    for _ in range(40):
+        n = rng.randrange(2, 9)
+        g = random_oriented_graph(n, rng, arc_chance=rng.random())
+        for text in _layout_cases(format_edge_list(g), rng):
+            yield trial, text
+            trial += 1
+    for text in ("3 0\n", "3 0", "3 0\n\n", "3 0\n \n\t\n", "3 0\r\n\r\n", "# c\n3 0\n# x\n\n",
+                 "3 0\n\t#x 1\n", "0 0\n\n", "3 0\n0 1\n", "3 0\n\n0 1\n\n", "2 0 reflexive\n\n"):
+        yield trial, text
+        trial += 1
 
 
 def test_bulk_parser_matches_line_by_line_reference():

@@ -79,6 +79,26 @@ def test_incident_order_and_edge_index():
     assert g.edge_index(0, (0, 2)) == 2
     assert g.edge_index(2, (0, 2)) == 1
     assert g.edge_index(2, (2, 0)) == 1  # orientation of the query pair is free
+    # the per-vertex index against the edge scans it replaced, on seeded
+    # graphs in the default order and in a shuffled one
+    rng = random.Random(14)
+    for trial in range(40):
+        n = rng.randrange(1, 30)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        plain = SimpleGraph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+        for h in (plain, with_random_edge_order(plain, rng)):
+            for v in range(n):
+                scan = [e for e in h.edges if v in e]
+                if h.edge_order is None:
+                    old = tuple(sorted(scan, key=lambda e: e[0] + e[1] - v))
+                else:
+                    old = h.edge_order[v]
+                    assert sorted(old) == sorted(scan)
+                assert h.incident(v) == old
+                for e in scan:
+                    assert h.edge_index(v, e[::-1]) == old.index(e) + 1
+                assert h.neighbours(v) == sorted(a + b - v for a, b in h.edges if v in (a, b)), trial
+                assert h.degree(v) == sum(1 for e in h.edges if v in e)
 
 
 def test_edge_order_validation():
