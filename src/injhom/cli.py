@@ -54,16 +54,11 @@ def _resolve_target(text: str) -> TargetSpec:
     return TargetSpec.parse(text)
 
 
-def _write_map(images) -> None:
-    """One 'v -> image' line per vertex v, in one write."""
-    sys.stdout.write("".join(map("{} -> {}\n".format, itertools.count(), images)))
-
-
-def _print_witness(spec: TargetSpec, witness) -> None:
+def _write_map(images, labels) -> None:
     """One 'v -> label' line per vertex v, in one write; each label's
     ' -> label' tail is built once."""
-    tails = [f" -> {label}\n" for label in target_labels(spec)]
-    lines = map(operator.add, map(str, itertools.count()), map(tails.__getitem__, witness))
+    tails = [f" -> {label}\n" for label in labels]
+    lines = map(operator.add, map(str, itertools.count()), map(tails.__getitem__, images))
     sys.stdout.write("".join(lines))
 
 
@@ -84,7 +79,7 @@ def _cmd_decide(args) -> int:
     print("YES" if sat else "NO")
     print(f"algorithm: {algorithm}")
     if sat and witness is not None:
-        _print_witness(spec, witness)
+        _write_map(witness, target_labels(spec))
     return 0 if sat else 1
 
 
@@ -108,14 +103,14 @@ def _cmd_solve(args) -> int:
         count = 0
         for hom in enumerate_homs(g, target, mode, pins=pins, limit=args.limit):
             print(f"witness {count + 1}:")
-            _print_witness(spec, hom)
+            _write_map(hom, target_labels(spec))
             count += 1
         print(f"solutions: {count}" + (" (limit reached)" if args.limit == count and count else ""))
         return 0 if count else 1
     res = solve(g, target, mode, pins=pins)
     print("YES" if res.satisfiable else "NO")
     if res.witness:
-        _print_witness(spec, res.witness.map)
+        _write_map(res.witness.map, target_labels(spec))
     return 0 if res.satisfiable else 1
 
 
@@ -191,7 +186,7 @@ def _cmd_chi(args) -> int:
     arcs = " ".join(f"{u}->{v}" for u, v in sorted(result.tournament.arcs))
     print(f"tournament: {arcs if arcs else '(edgeless)'}"
           + (" (reflexive)" if result.tournament.reflexive else ""))
-    _write_map(result.witness)
+    _write_map(result.witness, range(result.tournament.n))
     return 0
 
 
