@@ -6,19 +6,25 @@ lines anywhere, a header ``n m`` optionally followed by the word
 The same layout doubles for undirected graphs, where each line is an
 edge and the reflexive token is not allowed.
 
-The body is checked in bulk, as one token list: the m lines must each
-split into two tokens, one int map converts all of them, and min/max
-and set operations check range, loops, repeats and opposite arcs.
-Blank and comment lines are dropped first, and only from a body longer
-than m lines.  A body that fails the bulk check is read again line by
-line; that loop reports the first bad line.  The parsed
-graph is built from the checked arcs without the constructor's own
-check, so each file is checked once.
+A text in the strict layout, the one format_edge_list writes, is
+checked in a few passes at C speed, with no split per line: lines that
+start with '#', a header of two decimal counts and maybe 'reflexive',
+one space before each token after the first, then exactly m lines
+'u v' of ASCII digits, one space between them and each line ended by a
+newline (the last may lack it).  str.find skips the comment lines; one
+str.translate that deletes the digits must leave m copies of ' \n'; one
+json.loads reads all 2m integers (it rejects an empty token and a
+leading zero); max and set operations check range, loops, repeats and
+opposite arcs.  Every other text, such as one with tabs, CRLF, blank
+lines, comments among the arcs, extra spaces, leading zeros or an error,
+is read by the line loop, which alone reports errors and their line
+numbers.  The parsed graph is built from the checked arcs without the
+constructor's own check, so each file is checked once.
 """
 
 from __future__ import annotations
 
-import operator
+import json
 from typing import Iterable
 
 from .graphs import OrientedGraph
@@ -60,31 +66,46 @@ def _parse_header(lineno: int, line: str, allow_reflexive: bool):
     return n, m, reflexive
 
 
-def _bulk_arcs(body, n: int, m: int):
-    """The body's arcs as a frozenset of (u, v), checked as one token
-    list; None when any check fails, and then _parse_body names the line.
-    Blank and comment lines are dropped only from a body longer than m
-    lines, so the usual file of exactly m arc lines is not copied."""
-    if len(body) > m:
-        body = [line for line in body if line.strip()[:1] not in ("", "#")]
-    if len(body) != m:
+_DROP_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
+_COMMAS = {ord(" "): ord(","), ord("\n"): ord(",")}
+
+
+def _strict_parse(text: str, allow_reflexive: bool):
+    """(n, arcs, reflexive) of a text in the strict layout, checked in a
+    few passes at C speed; None for any other text, which the line loop
+    then reads."""
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    # a '#' line must not hold a line break of its own, such as '\r' or '\f'
+    if start and not all(c.startswith("#") for c in text[:start].splitlines()):
         return None
-    if not m:
-        return frozenset()
-    if set(map(len, map(str.split, body))) != {2}:
+    line, _, body = text[start:].partition("\n")
+    header = line.split(" ")
+    reflexive = len(header) == 3 and header[2] == "reflexive"
+    if reflexive and allow_reflexive:
+        del header[2]
+    if len(header) != 2 or not all(map(str.isdigit, header)):
         return None
+    if body and not body.endswith("\n"):
+        body += "\n"
     try:
-        tokens = list(map(int, " ".join(body).split()))
-    except ValueError:  # a non-integer token, or a comment line of two tokens
+        n, m = map(int, header)  # "²" is a digit, but int rejects it
+        # only digits, ' ' and '\n' in the layout of m lines 'digits digits'
+        if len(body) < 4 * m or body.translate(_DROP_DIGITS) != " \n" * m:
+            return None
+        # no token is empty or has a leading zero, or json rejects it
+        tokens = json.loads("[" + body[:-1].translate(_COMMAS) + "]")
+    except ValueError:  # also a count past int's digit limit
         return None
-    us = tokens[0::2]
-    vs = tokens[1::2]
+    us, vs = tokens[0::2], tokens[1::2]
     arcs = frozenset(zip(us, vs))
-    if (min(tokens) < 0 or max(tokens) >= n
-            or any(map(operator.eq, us, vs)) or len(arcs) != m
-            or not arcs.isdisjoint(zip(vs, us))):
+    # a loop (u, u) is its own opposite arc, so isdisjoint rejects it too
+    if (tokens and max(tokens) >= n) or len(arcs) != m or not arcs.isdisjoint(zip(vs, us)):
         return None
-    return arcs
+    return n, arcs, reflexive
 
 
 def _parse_body(lines, n: int, m: int, directed: bool):
@@ -119,19 +140,18 @@ def _parse_body(lines, n: int, m: int, directed: bool):
 
 
 def _parse(text: str, allow_reflexive: bool, directed: bool):
-    """(n, arcs, reflexive) of an edge-list text.  The body is checked in
-    bulk; the line loop runs only on a body that the bulk check rejects."""
-    lines = text.splitlines()
-    for lineno, line in _data_lines(lines):
+    """(n, arcs, reflexive) of an edge-list text: the strict check, and
+    the line loop for any text that it does not accept."""
+    parsed = _strict_parse(text, allow_reflexive)
+    if parsed is not None:
+        return parsed
+    lines = _data_lines(text.splitlines())
+    for lineno, line in lines:
         n, m, reflexive = _parse_header(lineno, line, allow_reflexive)
         break
     else:
         raise EdgeListError(0, "empty input: missing header")
-    body = lines[lineno:]
-    arcs = _bulk_arcs(body, n, m)
-    if arcs is None:
-        arcs = _parse_body(_data_lines(body, lineno + 1), n, m, directed)
-    return n, arcs, reflexive
+    return n, _parse_body(lines, n, m, directed), reflexive
 
 
 def parse_edge_list(text: str) -> OrientedGraph:

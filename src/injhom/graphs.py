@@ -65,7 +65,8 @@ class OrientedGraph:
     def _checked(cls, n: int, arcs: frozenset, reflexive: bool = False) -> "OrientedGraph":
         """The graph on arcs that the caller has already checked: a
         frozenset of int pairs in range, with no loop and no digon.  The
-        edge-list parser checks its body itself, so it builds here."""
+        edge-list parser checks its body itself, and disjoint_union joins
+        two valid graphs, so both build here."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, arcs=arcs, reflexive=bool(reflexive))
         return g
@@ -137,8 +138,9 @@ def disjoint_union(g: OrientedGraph, h: OrientedGraph) -> OrientedGraph:
     """Place h next to g, shifting h's vertices by g.n."""
     if g.reflexive != h.reflexive:
         raise ValueError("cannot union a reflexive graph with an irreflexive one")
-    arcs = list(g.arcs) + [(u + g.n, v + g.n) for u, v in h.arcs]
-    return OrientedGraph(g.n + h.n, arcs, g.reflexive)
+    # both parts are valid graphs, so their shifted union is one too
+    arcs = g.arcs.union([(u + g.n, v + g.n) for u, v in h.arcs])
+    return OrientedGraph._checked(g.n + h.n, arcs, g.reflexive)
 
 
 def degrees(g: OrientedGraph) -> list:

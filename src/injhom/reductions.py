@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .gadgets import antidirected_cycle, apex_cycle, equalizer, in_star, selector_cycle
 from .graphs import Mode, OrientedGraph, disjoint_union
-from .targets import build_named
+from .targets import build_named, check_u_size
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,9 @@ def reduce_3col_to_ios_c3r(g: SimpleGraph) -> ReductionInstance:
     if g.min_degree() < 3:
         raise ValueError("reduction needs minimum degree 3")
     b = _Builder()
+    selectors = {d: selector_cycle(d) for d in set(map(g.degree, range(g.n)))}
     for x in range(g.n):
-        gad = selector_cycle(g.degree(x))
+        gad = selectors[g.degree(x)]
         b.block(("vertex", x), gad.graph.n, gad.roles, gad.graph.arcs)
     for w, z in sorted(g.edges):
         table = b.block(
@@ -219,8 +220,8 @@ def reduce_3edge_to_t3r(g: SimpleGraph, mode: Mode = Mode.IOS) -> ReductionInsta
     if not g.is_cubic():
         raise ValueError("reduction needs a cubic graph")
     b = _Builder()
+    star = in_star()
     for x in range(g.n):
-        star = in_star()
         b.block(("vertex", x), star.graph.n, star.roles, star.graph.arcs)
     eq = equalizer()
     port_u, port_v = eq.roles["u"], eq.roles["v"]
@@ -260,13 +261,15 @@ def reduce_3col_to_iot_c3r(g: SimpleGraph) -> ReductionInstance:
     if g.min_degree() < 1:
         raise ValueError("reduction needs minimum degree 1")
     b = _Builder()
+    cycles = {}  # size -> (roles, arcs), one gadget per size
     for x in range(g.n):
         size = 6 * g.degree(x)
-        gad = antidirected_cycle(size)
-        # relabel: x_k is raw vertex (k+1) mod size, putting every x_{6i}
-        # in the in-degree-2 class
-        roles = {f"x{k}": (k + 1) % size for k in range(size)}
-        b.block(("vertex", x), size, roles, gad.graph.arcs)
+        if size not in cycles:
+            # relabel: x_k is raw vertex (k+1) mod size, putting every
+            # x_{6i} in the in-degree-2 class
+            roles = {f"x{k}": (k + 1) % size for k in range(size)}
+            cycles[size] = roles, antidirected_cycle(size).graph.arcs
+        b.block(("vertex", x), size, *cycles[size])
     for x, y in sorted(g.edges):
         table = b.block(
             ("edge", (x, y)), 3, {"mid0": 0, "mid1": 1, "apex": 2}, [(0, 2), (1, 2)]
@@ -305,8 +308,7 @@ def lift_u4_instance(inst: ReductionInstance, m: int) -> ReductionInstance:
     """Lift a U4 instance to U_m (m >= 4) by giving each original vertex
     enough fresh in-pendants to reach in-degree m-4, which pins it to the
     one U_m vertex that dominates the triangle with room to spare."""
-    if m < 4:
-        raise ValueError("U targets need m >= 4")
+    check_u_size(m)
     if inst.target != "U4":
         raise ValueError("can only lift U4 instances")
     arcs = list(inst.graph.arcs)
@@ -337,8 +339,7 @@ def reduce_ios_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
     in/out degree 2) to one against reflexive U_m: in-pendants raise each
     vertex's in-degree past anything outside U_m's triangle, so the
     original graph must land inside the triangle copy."""
-    if m < 4:
-        raise ValueError("U targets need m >= 4")
+    check_u_size(m)
     if g.reflexive:
         raise ValueError("input must be irreflexive")
     if any(d > 2 for pair in ((g.in_degree(v), g.out_degree(v)) for v in range(g.n)) for d in pair):
@@ -360,8 +361,7 @@ def reduce_iot_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
     against reflexive U_m: each vertex gets a private transitive
     tournament on m-3 vertices shooting into it, and every tournament
     vertex gets three private out-pendants keeping it off the triangle."""
-    if m < 4:
-        raise ValueError("U targets need m >= 4")
+    check_u_size(m)
     if g.reflexive:
         raise ValueError("input must be irreflexive")
     b = _Builder()

@@ -1,10 +1,11 @@
 """Named target tournaments and the little grammar that selects them.
 
 Recognized names: T1 T2 T3 (transitive tournaments), C3 (directed
-triangle), U<m> for m >= 4 (a directed triangle dominated by every vertex
-of a transitive tournament on m-3 vertices), each optionally suffixed
-with "r" for the reflexive version.  A custom target is any tournament
-supplied as an OrientedGraph.
+triangle), U<m> for 4 <= m <= U_MAX (a directed triangle dominated by
+every vertex of a transitive tournament on m-3 vertices), each optionally
+suffixed with "r" for the reflexive version.  U<m> has about m^2/2 arcs;
+the cap turns a name like U100000 into a clean error before any arc is
+built.  A custom target is any tournament supplied as an OrientedGraph.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from .graphs import OrientedGraph, is_tournament, transitive_tournament
 
 _NAME_RE = re.compile(r"^(T[123]|C3|U(?P<m>\d+))(?P<refl>r?)$")
+U_MAX = 100  # largest U<m>: 4,950 arcs, built in milliseconds
 
 
 @dataclass(frozen=True)
@@ -59,17 +61,23 @@ def _parse_name(text: str):
     reflexive = bool(m.group("refl"))
     if m.group("m") is not None:
         size = int(m.group("m"))
-        if size < 4:
-            raise ValueError(f"U targets need m >= 4, got {size}")
+        check_u_size(size)
         return ("U", size, reflexive)
     return (text[:2], None, reflexive)
+
+
+def check_u_size(m: int) -> None:
+    """Raise ValueError unless 4 <= m <= U_MAX."""
+    if m < 4:
+        raise ValueError(f"U targets need m >= 4, got {m}")
+    if m > U_MAX:
+        raise ValueError(f"U targets need m <= {U_MAX}, got {m}")
 
 
 def u_tournament(m: int, reflexive: bool = False) -> OrientedGraph:
     """Directed triangle on 0,1,2 plus a transitive tournament on 3..m-1
     each of whose vertices dominates the whole triangle."""
-    if m < 4:
-        raise ValueError(f"U targets need m >= 4, got {m}")
+    check_u_size(m)
     arcs = [(0, 1), (1, 2), (2, 0)]
     arcs += [(i, j) for i in range(3, m) for j in range(i + 1, m)]
     arcs += [(i, c) for i in range(3, m) for c in range(3)]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from injhom import targets
 from injhom.cli import main
 from injhom.fileformat import format_edge_list, format_undirected_edge_list, parse_edge_list
 from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph
@@ -267,6 +268,19 @@ def test_unknown_target_message(write, capsys):
     code, _, err = run(capsys, "decide", path, "T9", "ios")
     assert code == 2
     assert "expected T1|T2|T3|C3|U<m> with optional r suffix" in err
+
+
+def test_huge_u_target_is_refused_before_building(write, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a U target past the cap was built")
+
+    monkeypatch.setattr(targets, "u_tournament", no_build)
+    path = write("p3.txt", format_edge_list(directed_path(3)))
+    for name in ("U100000", f"U{targets.U_MAX + 1}r"):
+        for command in ("decide", "solve"):
+            code, out, err = run(capsys, command, path, name, "ios")
+            assert code == 2 and out == ""
+            assert f"error: U targets need m <= {targets.U_MAX}" in err
 
 
 def _mutate(rng, text: bytes) -> bytes:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from injhom import fileformat
+from injhom.cli import main
 from injhom.fileformat import (
     EdgeListError,
     format_edge_list,
@@ -9,7 +11,7 @@ from injhom.fileformat import (
     parse_edge_list,
     parse_undirected_edge_list,
 )
-from injhom.graphs import OrientedGraph, directed_cycle, random_oriented_graph
+from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph
 
 
 def test_roundtrip_plain():
@@ -97,7 +99,7 @@ def test_undirected_normalizes_orientation():
         parse_undirected_edge_list("3 2\n0 1\n1 0\n")  # same edge twice
 
 
-# --- the bulk parser against the line-by-line one it replaced ---
+# --- the strict check and the line loop against a line-by-line reference ---
 
 
 def _ref_data_lines(text):
@@ -223,7 +225,7 @@ def _mutate(text, n, rng):
 
 
 def _layout_cases(text, rng):
-    """Edge cases of the bulk check's layout, from the edge-list text of
+    """Edge cases of the strict check's layout, from the edge-list text of
     a graph: the exact layout with CRLF or tab separators, a two-token
     comment line standing in for an arc line or added to the body,
     trailing blank lines, and blank and comment lines among the arcs."""
@@ -312,3 +314,87 @@ def test_roundtrip_random_graphs():
         graphs.append(g)
     for g in graphs:
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+def _boundary_cases():
+    """Texts at the edge of the strict layout, each next to the plain
+    text it varies: every one must parse as the line loop says."""
+    plain = "4 3\n0 1\n2 1\n3 2\n"
+    yield plain
+    # numerals: leading zeros, signs, underscores, non-ASCII digits
+    for arc in ("00 1", "0 01", "+0 1", "0 +1", "-0 1", "0 1_0", "1_0 1", "٠ 1", "0 １", "0 ²", "0 1.0"):
+        yield plain.replace("0 1", arc)
+    yield "04 3\n0 1\n2 1\n3 2\n"
+    yield "+4 3\n0 1\n2 1\n3 2\n"
+    yield "4 ٣\n0 1\n2 1\n3 2\n"
+    yield "4 3\n0 " + "9" * 5000 + "\n2 1\n3 2\n"  # past int's digit limit
+    yield "4 " + "9" * 5000 + "\n0 1\n"
+    yield "4 99999999999999\n0 1\n"
+    # separators: tabs, double, leading and trailing spaces, CRLF, other breaks
+    for old, new in (("0 1", "0\t1"), ("0 1", "0  1"), ("0 1", " 0 1"), ("0 1", "0 1 "),
+                     ("4 3", "4\t3"), ("4 3", "4  3"), ("4 3", " 4 3"), ("4 3", "4 3 "),
+                     ("\n", "\r\n"), ("\n", "\r"), ("\n", "\f"), ("\n", "\x85"),
+                     ("\n", " "), ("\n2 1", "\r2 1"), ("\n2 1", "\v2 1")):
+        yield plain.replace(old, new, 1)
+    yield plain.replace("\n", "\r\n")
+    # a missing final newline, extra lines after the arcs
+    yield plain[:-1]
+    yield plain[:-1] + "\r"
+    for tail in ("\n", " \n", "\t\n", "#\n", "# end", "# end\n", "\n# end\n", "3 0\n", "3"):
+        yield plain + tail
+    # comments: between arcs, on top, with a line break of their own
+    yield "4 3\n0 1\n# c\n2 1\n3 2\n"
+    yield "4 3\n0 1\n  # c\n2 1\n3 2\n"
+    for top in ("#\n", "# c\n# d\n", "#c\r\n", "# c\rd\n", "# c\r4 3\n", "# c\f0 1\n",
+                "# c\x85d\n", " # c\n", "\n", "\n\n# c\n", "\t\n", "# only"):
+        yield top + plain
+    yield "# only"
+    yield "#"
+    yield ""
+    yield "\n"
+    # m = 0, with and without a body
+    for text in ("3 0", "3 0\n", "0 0\n", "3 0\n\n", "3 0\n0 1\n", "3 0\n# c\n", "3 0 reflexive",
+                 "3 0 reflexive\n", "# c\n3 0\n"):
+        yield text
+    # the header: reflexive, extra tokens, counts that do not match
+    for head in ("4 3 reflexive", "4 3 reflexive ", "4 3 Reflexive", "4 3 reflexive x", "4 3 x",
+                 "4 3 3", "4", "4 3 reflexive reflexive", "4 2", "4 4", "3 3"):
+        yield plain.replace("4 3", head, 1)
+    # arcs the strict check must send on: range, loop, repeat, opposite
+    for arc in ("0 4", "4 0", "1 1", "2 1", "1 0", "3 2"):
+        yield plain.replace("0 1", arc)
+
+
+def test_boundary_cases_match_line_by_line_reference():
+    for text in _boundary_cases():
+        assert _outcome(parse_edge_list, text) == _outcome(
+            lambda t: _ref_parse(t, directed=True), text), text
+        assert _outcome(parse_undirected_edge_list, text) == _outcome(
+            lambda t: _ref_parse(t, directed=False), text), text
+
+
+def test_well_formed_files_never_reach_the_line_loop(tmp_path, monkeypatch, capsys):
+    # with the line loop out of action, every file the package itself
+    # writes, and the plain layout, must still parse
+    def no_line_loop(*args):
+        raise AssertionError("the line loop read a well-formed file")
+
+    g = directed_cycle(5)
+    src = tmp_path / "k4.txt"
+    src.write_text(format_undirected_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    out = tmp_path / "k4-t3r.txt"
+    assert main(["reduce", "3edge-to-t3r", str(src), "--out", str(out)]) == 0
+    monkeypatch.setattr(fileformat, "_parse_body", no_line_loop)
+    assert parse_edge_list(format_edge_list(g, comments=["a directed 5-cycle", "", "k = 3"])) == g
+    assert parse_edge_list(format_edge_list(g)) == g
+    assert parse_edge_list(out.read_text()).n == 4 * 4 + 6 * 38
+    assert parse_undirected_edge_list(src.read_text())[0] == 4
+    assert parse_edge_list("3 2\n0 1\n2 1\n").arcs == {(0, 1), (2, 1)}
+    assert parse_edge_list("3 2\n0 1\n2 1").arcs == {(0, 1), (2, 1)}
+    refl = OrientedGraph(3, [(0, 1)], reflexive=True)
+    assert parse_edge_list(format_edge_list(refl, comments=["x"])) == refl
+    assert parse_edge_list("2 1 reflexive\n1 0\n") == OrientedGraph(2, [(1, 0)], reflexive=True)
+    for text in ("3 0\n", "3 0", "# c\n3 0\n", format_edge_list(OrientedGraph(0)),
+                 format_edge_list(directed_path(1), comments=["one vertex"])):
+        assert parse_edge_list(text).num_arcs == 0
+    assert parse_undirected_edge_list("3 0\n") == (3, frozenset())

@@ -35,7 +35,7 @@ from injhom.reductions import (
     with_random_edge_order,
 )
 from injhom.solver import solve
-from injhom.targets import build_named
+from injhom.targets import U_MAX, build_named
 
 
 def answer(inst):
@@ -234,6 +234,8 @@ def test_u4_lift_validation():
     inst = reduce_3edge_to_u4(complete_graph(4))
     with pytest.raises(ValueError):
         lift_u4_instance(inst, 3)
+    with pytest.raises(ValueError, match=f"m <= {U_MAX}"):
+        lift_u4_instance(inst, U_MAX + 1)
     lifted = lift_u4_instance(inst, 5)
     with pytest.raises(ValueError):
         lift_u4_instance(lifted, 6)
@@ -286,6 +288,9 @@ def test_umr_transfer_validation():
         reduce_iot_c3r_to_umr(refl, 4)
     with pytest.raises(ValueError):
         reduce_iot_c3r_to_umr(directed_cycle(3), 3)
+    for reduce in (reduce_ios_c3r_to_umr, reduce_iot_c3r_to_umr):
+        with pytest.raises(ValueError, match=f"m <= {U_MAX}"):
+            reduce(directed_cycle(3), U_MAX + 1)
 
 
 # --- colouring wrappers ---

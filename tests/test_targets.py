@@ -2,6 +2,7 @@ import pytest
 
 from injhom.graphs import OrientedGraph, is_tournament, transitive_tournament
 from injhom.targets import (
+    U_MAX,
     TargetSpec,
     build_named,
     label_index,
@@ -72,3 +73,14 @@ def test_spec_validation():
     assert spec.describe() == "U4r"
     custom = TargetSpec.from_graph(OrientedGraph(2, [(0, 1)], reflexive=True))
     assert "custom tournament on 2 vertices reflexive" == custom.describe()
+
+
+def test_u_size_cap():
+    # the names past the cap are refused by the spec itself, before any
+    # build; the largest allowed one still builds
+    assert TargetSpec.parse(f"U{U_MAX}r").build().num_arcs == U_MAX * (U_MAX - 1) // 2
+    for name in (f"U{U_MAX + 1}", "U100000", "U100000r"):
+        with pytest.raises(ValueError, match=f"U targets need m <= {U_MAX}"):
+            TargetSpec.parse(name)
+    with pytest.raises(ValueError, match=f"U targets need m <= {U_MAX}"):
+        u_tournament(U_MAX + 1)
