@@ -69,7 +69,7 @@ from .reductions import (
     reduce_iot_c3r_to_umr,
     with_random_edge_order,
 )
-from .solver import Homomorphism, SolveResult, check_hom, enumerate_homs, protected_pairs, solve
+from .solver import Homomorphism, SolveResult, check_hom, enumerate_homs, solve
 from .targets import TargetSpec, build_named, label_index, target_labels, u_tournament
 from .verify import SUITES, run_suite
 
@@ -90,7 +90,7 @@ __all__ = [
     "max_degrees", "oracle_3col", "oracle_3edge", "oracle_k_colouring",
     "parse_edge_list", "parse_undirected_edge_list", "path_graph",
     "prism_graph", "bridged_cubic_graph",
-    "protected_pairs", "random_oriented_graph", "reduce_3col_to_ios_c3r",
+    "random_oriented_graph", "reduce_3col_to_ios_c3r",
     "reduce_3col_to_iot_c3r", "reduce_3edge_to_t3r", "reduce_3edge_to_u4",
     "reduce_3edge_to_um", "reduce_ios_c3r_to_umr", "reduce_iot_c3r_to_umr",
     "run_suite", "selector_cycle", "selector_forced_cycle_roles", "solve",

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .graphs import Mode, OrientedGraph, is_tournament
 from .reductions import canonical_flavour
-from .solver import check_hom, enumerate_homs, protected_pairs
+from .solver import _neighbourhoods, check_hom, enumerate_homs
 from .solver import solve  # noqa: F401  perfbench/spans.py wraps chromatic.solve
 
 TOURNAMENT_CAP = 6
@@ -167,10 +167,11 @@ class _ColourSearch:
     def __init__(self, g: OrientedGraph, mode: Mode, proper: bool):
         n = g.n
         self.proper = proper
-        diffs = [[] for _ in range(n)]
-        for a, b in protected_pairs(g, mode):
-            diffs[a].append(b)
-            diffs[b].append(a)
+        diffs = [set() for _ in range(n)]
+        for _, members in _neighbourhoods(g, mode):
+            for w in members:
+                diffs[w].update(members)
+        diffs = [sorted(d - {v}) for v, d in enumerate(diffs)]
         underlying = g.underlying_nbrs
         order = _max_cardinality_order([[*a, *b] for a, b in zip(underlying, diffs)])
         pos = [0] * n

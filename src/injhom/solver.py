@@ -82,31 +82,21 @@ def check_hom(g: OrientedGraph, h: OrientedGraph, f, mode: Mode = Mode.PLAIN) ->
             return False
     if mode is Mode.PLAIN:
         return True
-    for x in range(g.n):
-        ins = g.in_nbrs[x]
-        outs = g.out_nbrs[x]
-        if g.reflexive:
-            ins = ins + (x,)
-            outs = outs + (x,)
-        if mode is Mode.IOS:
-            if len({f[u] for u in ins}) != len(ins):
-                return False
-            if len({f[w] for w in outs}) != len(outs):
-                return False
-        else:  # IOT
-            nbhd = set(ins) | set(outs)
-            if len({f[y] for y in nbhd}) != len(nbhd):
-                return False
-    return True
-
-
-def protected_pairs(g: OrientedGraph, mode: Mode) -> list:
-    """Unordered vertex pairs the mode forces to distinct images: pairs
-    inside one in- or out-neighbourhood (IOS) or inside a full
-    neighbourhood (IOT), closed neighbourhoods if g is reflexive."""
-    return sorted({(a, b) if a < b else (b, a)
-                   for _, members in _neighbourhoods(g, mode)
-                   for a, b in itertools.combinations(members, 2)})
+    # f is injective on every in-neighbourhood exactly when the pairs
+    # (centre, image of an in-neighbour) over the arcs are distinct, and
+    # on every out-neighbourhood likewise; a loop adds (x, f(x)) to both
+    # sides, and iot asks all the pairs of both sides to be distinct
+    arcs = g.arcs
+    loops = list(enumerate(f)) if g.reflexive else []
+    want = len(arcs) + len(loops)
+    ins = {(v, f[u]) for u, v in arcs}
+    ins.update(loops)
+    if mode is Mode.IOS:
+        outs = {(u, f[v]) for u, v in arcs}
+        outs.update(loops)
+        return len(ins) == len(outs) == want
+    ins.update([(u, f[v]) for u, v in arcs])
+    return len(ins) == want + len(arcs)
 
 
 def _neighbourhoods(g: OrientedGraph, mode: Mode) -> Iterator[tuple]:

@@ -45,12 +45,6 @@ class TargetSpec:
     def build(self) -> OrientedGraph:
         return build_named(self)
 
-    def describe(self) -> str:
-        if self.name is not None:
-            return self.name
-        flag = " reflexive" if self.custom.reflexive else ""
-        return f"custom tournament on {self.custom.n} vertices{flag}"
-
 
 def _parse_name(text: str):
     m = _NAME_RE.match(text)

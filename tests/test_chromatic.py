@@ -27,7 +27,7 @@ from injhom.graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from injhom.solver import check_hom, protected_pairs, solve
+from injhom.solver import _neighbourhoods, check_hom, solve
 from injhom.targets import build_named
 
 
@@ -206,9 +206,10 @@ def test_max_cardinality_order():
     for _ in range(30):
         g = random_oriented_graph(rng.randint(1, 12), rng, 0.3)
         nbrs = [set(g.underlying_nbrs[v]) for v in range(g.n)]
-        for a, b in protected_pairs(g, Mode.IOT):
-            nbrs[a].add(b)
-            nbrs[b].add(a)
+        for _, members in _neighbourhoods(g, Mode.IOT):
+            for a, b in itertools.combinations(members, 2):
+                nbrs[a].add(b)
+                nbrs[b].add(a)
         order = _max_cardinality_order([sorted(s) for s in nbrs])
         assert sorted(order) == list(range(g.n))
         for i, v in enumerate(order):

@@ -17,7 +17,7 @@ from injhom.graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from injhom.solver import protected_pairs
+from injhom.solver import _neighbourhoods
 
 
 def test_arc_validation():
@@ -92,16 +92,16 @@ def test_hat_shape():
 
 
 def test_find_hats():
-    # the ios-protected pairs of an irreflexive graph are its hats
-    assert protected_pairs(hat(), Mode.IOS) == [(0, 2)]
+    # the ios-protected neighbourhoods of an irreflexive graph are its hats
+    assert list(_neighbourhoods(hat(), Mode.IOS)) == [(1, (0, 2))]
     t3 = transitive_tournament(3)
     # t3: both 0,1 point at 2 (in-pair) and 0 points at 1,2 (out-pair)
-    assert (0, 1) in protected_pairs(t3, Mode.IOS)
+    assert (2, (0, 1)) in _neighbourhoods(t3, Mode.IOS)
 
 
 def test_find_hats_includes_out_pairs():
     g = OrientedGraph(3, [(1, 0), (1, 2)])
-    assert protected_pairs(g, Mode.IOS) == [(0, 2)]
+    assert list(_neighbourhoods(g, Mode.IOS)) == [(1, (0, 2))]
 
 
 def test_constructors():

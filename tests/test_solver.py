@@ -23,9 +23,10 @@ from injhom.reductions import (
     bridged_cubic_graph,
     complete_bipartite,
     complete_graph,
+    reduce_3col_to_iot_c3r,
     reduce_3edge_to_t3r,
 )
-from injhom.solver import _Csp, _MaskTable, check_hom, enumerate_homs, protected_pairs, solve
+from injhom.solver import _Csp, _MaskTable, _neighbourhoods, check_hom, enumerate_homs, solve
 from injhom.targets import build_named, u_tournament
 
 C3 = build_named("C3")
@@ -46,9 +47,56 @@ def naive_homs(g, h, mode):
     return out
 
 
+def _ref_check_hom(g, h, f, mode):
+    """check_hom as it was written with a set per vertex: the map's
+    images on each protected neighbourhood, read from the neighbour lists."""
+    f = tuple(f)
+    if len(f) != g.n:
+        raise ValueError(f"map covers {len(f)} vertices, graph has {g.n}")
+    for a in f:
+        if not (isinstance(a, int) and 0 <= a < h.n):
+            raise ValueError(f"image {a!r} out of range for target on {h.n} vertices")
+    if g.reflexive and not h.reflexive and g.n > 0:
+        return False
+    for u, v in g.arcs:
+        a, b = f[u], f[v]
+        if a == b:
+            if not h.reflexive:
+                return False
+        elif (a, b) not in h.arcs:
+            return False
+    if mode is Mode.PLAIN:
+        return True
+    for x in range(g.n):
+        ins = g.in_nbrs[x]
+        outs = g.out_nbrs[x]
+        if g.reflexive:
+            ins = ins + (x,)
+            outs = outs + (x,)
+        if mode is Mode.IOS:
+            if len({f[u] for u in ins}) != len(ins):
+                return False
+            if len({f[w] for w in outs}) != len(outs):
+                return False
+        else:
+            nbhd = set(ins) | set(outs)
+            if len({f[y] for y in nbhd}) != len(nbhd):
+                return False
+    return True
+
+
+def _protected_pairs(g, mode):
+    """The unordered vertex pairs inside one of the neighbourhoods the
+    solver protects."""
+    return sorted({(a, b) if a < b else (b, a)
+                   for _, members in _neighbourhoods(g, mode)
+                   for a, b in itertools.combinations(members, 2)})
+
+
 def _ref_protected_pairs(g, mode):
-    """protected_pairs from each neighbourhood's pairs, as it was derived
-    before the solver kept each pair's common heads and tails."""
+    """The protected pairs from each vertex's neighbour lists, as they
+    were derived before the solver kept each pair's common heads and
+    tails."""
     pairs = set()
     if mode is Mode.PLAIN:
         return []
@@ -120,7 +168,7 @@ def test_graph_side_matches_per_pair_derivation():
         if rng.random() < 0.3:
             g = OrientedGraph(g.n, g.arcs, reflexive=True)
         for mode in MODES:
-            assert protected_pairs(g, mode) == _ref_protected_pairs(g, mode), (trial, mode)
+            assert _protected_pairs(g, mode) == _ref_protected_pairs(g, mode), (trial, mode)
             csp = _Csp(g, C3r, mode)
             assert csp.constraint_nbrs == _ref_graph_side(g, mode)[1], (trial, mode)
             assert _sorted_nbhds_at(csp) == _ref_nbhds_at(g, mode), (trial, mode)
@@ -225,17 +273,50 @@ def test_check_hom_reflexive_input_needs_reflexive_target():
     assert check_hom(g, T3r, (0, 1), Mode.PLAIN)
 
 
+def test_check_hom_matches_per_vertex_check():
+    # the arc-pair test against the per-vertex sets; both verdicts occur
+    # in every mode, on reflexive and irreflexive inputs
+    rng = random.Random(1616)
+    targets = [build_named(name + r) for name in ("T1", "T2", "T3", "C3", "U4", "U5") for r in ("", "r")]
+    verdicts = set()
+    for trial in range(2000):
+        g = random_oriented_graph(rng.randint(0, 7), rng, arc_chance=rng.random())
+        if rng.random() < 0.2:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        h = targets[trial % len(targets)]
+        f = [rng.randrange(h.n) for _ in range(g.n)]
+        for mode in MODES:
+            got = check_hom(g, h, f, mode)
+            assert got == _ref_check_hom(g, h, f, mode), (trial, g, h, f, mode)
+            verdicts.add((mode, g.reflexive, got))
+        # a short map, and one with an image out of range
+        for wrong in (f[:-1], f[:-1] + [h.n]) if g.n else ([0],):
+            for check in (check_hom, _ref_check_hom):
+                with pytest.raises(ValueError):
+                    check(g, h, wrong, mode)
+    assert len(verdicts) == 12, verdicts
+
+
+def test_check_hom_builds_no_neighbour_lists():
+    # the checker reads the arc set alone, so a witness is checked
+    # independently of the neighbour lists the graph and the solver derive
+    g = directed_cycle(9)
+    assert check_hom(g, C3, [i % 3 for i in range(9)], Mode.IOT)
+    assert "_directed_nbrs" not in g.__dict__
+    assert "underlying_nbrs" not in g.__dict__
+
+
 def test_protected_pairs_hat_iot():
     g = hat()
-    assert (0, 2) in protected_pairs(g, Mode.IOS)
-    assert (0, 2) in protected_pairs(g, Mode.IOT)
-    assert protected_pairs(g, Mode.PLAIN) == []
+    assert (0, 2) in _protected_pairs(g, Mode.IOS)
+    assert (0, 2) in _protected_pairs(g, Mode.IOT)
+    assert _protected_pairs(g, Mode.PLAIN) == []
 
 
 def test_protected_pairs_iot_unions():
     g = OrientedGraph(3, [(0, 1), (1, 2)])  # directed path through 1
-    assert (0, 2) in protected_pairs(g, Mode.IOT)
-    assert (0, 2) not in protected_pairs(g, Mode.IOS)
+    assert (0, 2) in _protected_pairs(g, Mode.IOT)
+    assert (0, 2) not in _protected_pairs(g, Mode.IOS)
 
 
 def test_solver_matches_naive_exhaustive_small():
@@ -345,6 +426,14 @@ def test_t3r_hardness_instances_decided_by_parts():
     # inputs that never split keep the chronological search's counts
     assert solve(reduce_3edge_to_t3r(complete_graph(4)).graph, T3r, Mode.IOS).nodes_explored == 49
     assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 71
+
+
+def test_c3r_colouring_instance_decided_by_parts():
+    # 230 nodes; a search that never splits takes 17,406 on this instance
+    inst = reduce_3col_to_iot_c3r(random_cubic(24, 3))
+    res = solve(inst.graph, C3r, Mode.IOT)
+    assert res.satisfiable and res.nodes_explored < 1_000, res.nodes_explored
+    assert check_hom(inst.graph, C3r, res.witness.map, Mode.IOT)
 
 
 def random_cubic(n, seed):
