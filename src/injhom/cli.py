@@ -135,14 +135,16 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
+# kind: (its source graph, the flag it takes or None, its builder)
 _REDUCE_KINDS = {
-    "3col-to-ios-c3r": ("undirected", lambda g, a: reduce_3col_to_ios_c3r(g)),
-    "3col-to-iot-c3r": ("undirected", lambda g, a: reduce_3col_to_iot_c3r(g)),
-    "3edge-to-t3r": ("undirected", lambda g, a: reduce_3edge_to_t3r(g, Mode.parse(a.mode))),
-    "3edge-to-um": ("undirected", lambda g, a: reduce_3edge_to_um(g, a.m)),
-    "ios-c3r-to-umr": ("oriented", lambda g, a: reduce_ios_c3r_to_umr(g, a.m)),
-    "iot-c3r-to-umr": ("oriented", lambda g, a: reduce_iot_c3r_to_umr(g, a.m)),
+    "3col-to-ios-c3r": ("undirected", None, lambda g, _: reduce_3col_to_ios_c3r(g)),
+    "3col-to-iot-c3r": ("undirected", None, lambda g, _: reduce_3col_to_iot_c3r(g)),
+    "3edge-to-t3r": ("undirected", "mode", lambda g, mode: reduce_3edge_to_t3r(g, Mode.parse(mode))),
+    "3edge-to-um": ("undirected", "m", lambda g, m: reduce_3edge_to_um(g, m)),
+    "ios-c3r-to-umr": ("oriented", "m", lambda g, m: reduce_ios_c3r_to_umr(g, m)),
+    "iot-c3r-to-umr": ("oriented", "m", lambda g, m: reduce_iot_c3r_to_umr(g, m)),
 }
+_REDUCE_FLAGS = {"mode": "ios", "m": 4}  # each flag's default
 
 
 def _provenance_lines(inst: ReductionInstance) -> list:
@@ -157,9 +159,17 @@ def _provenance_lines(inst: ReductionInstance) -> list:
 
 
 def _cmd_reduce(args) -> int:
-    source_kind, build = _REDUCE_KINDS[args.kind]
+    source_kind, takes, build = _REDUCE_KINDS[args.kind]
+    value = None
+    for flag, default in _REDUCE_FLAGS.items():
+        given = getattr(args, flag)
+        if flag == takes:
+            value = default if given is None else given
+        elif given is not None:
+            kinds = ", ".join(kind for kind, spec in _REDUCE_KINDS.items() if spec[1] == flag)
+            raise ValueError(f"--{flag} applies only to {kinds}")
     g = _read_simple(args.input) if source_kind == "undirected" else _read_graph(args.input)
-    inst = build(g, args)
+    inst = build(g, value)
     comments = [
         f"reduction {args.kind} of {args.input}",
         f"solve against {inst.target} in mode {inst.mode.value}",
@@ -245,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=sorted(_REDUCE_KINDS))
     p.add_argument("input", help="edge-list file (undirected for colouring kinds)")
     p.add_argument("--out", required=True, metavar="PATH")
-    p.add_argument("--m", type=int, default=4, help="tournament size for U-family kinds")
-    p.add_argument("--mode", default="ios", help="ios | iot (3edge-to-t3r only)")
+    p.add_argument("--m", type=int, help="tournament size for U-family kinds (default 4)")
+    p.add_argument("--mode", help="ios | iot (3edge-to-t3r only; default ios)")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("chi", help="injective oriented chromatic number")

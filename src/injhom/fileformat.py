@@ -18,7 +18,8 @@ leading zero); max and set operations check range, loops, repeats and
 opposite arcs.  Every other text, such as one with tabs, CRLF, blank
 lines, comments among the arcs, extra spaces, leading zeros or an error,
 is read by the line loop, which alone reports errors and their line
-numbers.  The parsed graph is built from the checked arcs without the
+numbers; so is a text whose header asks for more than MAX_VERTICES
+vertices.  The parsed graph is built from the checked arcs without the
 constructor's own check, so each file is checked once.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .graphs import OrientedGraph
+from .graphs import MAX_VERTICES, OrientedGraph
 
 
 class EdgeListError(ValueError):
@@ -63,6 +64,8 @@ def _parse_header(lineno: int, line: str, allow_reflexive: bool):
         raise EdgeListError(lineno, f"header counts must be integers, got {line!r}") from None
     if n < 0 or m < 0:
         raise EdgeListError(lineno, "header counts must be nonnegative")
+    if n > MAX_VERTICES:
+        raise EdgeListError(lineno, f"at most {MAX_VERTICES} vertices allowed, header asks for {n}")
     return n, m, reflexive
 
 
@@ -93,6 +96,8 @@ def _strict_parse(text: str, allow_reflexive: bool):
         body += "\n"
     try:
         n, m = map(int, header)  # "²" is a digit, but int rejects it
+        if n > MAX_VERTICES:
+            return None  # the line loop reports it
         # only digits, ' ' and '\n' in the layout of m lines 'digits digits'
         if len(body) < 4 * m or body.translate(_DROP_DIGITS) != " \n" * m:
             return None

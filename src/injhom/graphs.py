@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+# The most vertices an edge-list file or a reduction instance may have, so
+# that a header count cannot ask for more memory than the machine has; 100
+# times the largest inputs the benchmark runs.
+MAX_VERTICES = 10**6
+
 
 class Mode(enum.Enum):
     """Which local-injectivity constraint a homomorphism must satisfy.

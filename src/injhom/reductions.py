@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .gadgets import antidirected_cycle, apex_cycle, equalizer, in_star, selector_cycle
-from .graphs import Mode, OrientedGraph, disjoint_union
+from .graphs import MAX_VERTICES, Mode, OrientedGraph, disjoint_union
 from .targets import build_named, check_u_size
 
 
@@ -153,6 +153,11 @@ class ReductionInstance:
         return self.provenance[("edge", (min(u, w), max(u, w)))]
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"reduction instance would pass {MAX_VERTICES} vertices")
+
+
 class _Builder:
     def __init__(self):
         self.arcs = []
@@ -162,6 +167,7 @@ class _Builder:
     def block(self, key, size: int, roles: dict, arcs) -> dict:
         """Add `size` fresh vertices under provenance `key`; `roles` and
         `arcs` use block-local indices.  Returns local->global map."""
+        _check_size(self.n + size)
         base = self.n
         self.n += size
         table = {name: base + idx for name, idx in roles.items()}
@@ -318,8 +324,9 @@ def lift_u4_instance(inst: ReductionInstance, m: int) -> ReductionInstance:
         if key[0] != "vertex":
             continue
         x = table["x"]
-        need = (m - 4) - inst.graph.in_degree(x)
-        for p in range(max(0, need)):
+        need = max(0, (m - 4) - inst.graph.in_degree(x))
+        _check_size(n + need)
+        for p in range(need):
             table[f"pend{p + 1}"] = n
             arcs.append((n, x))
             n += 1

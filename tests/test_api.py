@@ -49,3 +49,22 @@ def test_standard_library_only():
     assert len(paths) >= 10
     foreign = {path.name: _foreign_imports(path.read_text(encoding="utf-8")) for path in paths}
     assert {name: found for name, found in foreign.items() if found} == {}
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    # perfbench/spans.py wraps each of these, reading it with getattr before
+    # any traced operation runs
+    from injhom import chromatic, cli, solver, verify
+
+    wrapped = {
+        cli: ["main", "parse_edge_list", "parse_undirected_edge_list", "format_edge_list",
+              "decide_poly", "solve", "enumerate_homs", "chi", "run_suite",
+              "reduce_3col_to_ios_c3r", "reduce_3col_to_iot_c3r", "reduce_3edge_to_t3r",
+              "reduce_3edge_to_um", "reduce_ios_c3r_to_umr", "reduce_iot_c3r_to_umr"],
+        verify: ["decide_poly", "solve", "enumerate_homs"],
+        chromatic: ["solve", "enumerate_tournaments", "TOURNAMENT_CAP"],
+        solver: ["check_hom", "enumerate_homs"],
+    }
+    missing = [(module.__name__, name) for module, names in wrapped.items()
+               for name in names if not hasattr(module, name)]
+    assert missing == []

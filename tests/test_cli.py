@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from injhom import targets
+from injhom import reductions, targets
 from injhom.cli import main
 from injhom.fileformat import format_edge_list, format_undirected_edge_list, parse_edge_list
 from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph
 from injhom.reductions import SimpleGraph, complete_graph, reduce_3edge_to_t3r
+from injhom.verify import SUITES
 
 
 @pytest.fixture
@@ -214,6 +215,28 @@ def test_reduce_oriented_kind(write, capsys, tmp_path):
     assert "target: U4r  mode: ios" in out
 
 
+def test_reduce_refuses_flags_its_kind_ignores(write, capsys, tmp_path):
+    src = write("k4.txt", format_undirected_edge_list(4, complete_graph(4).edges))
+    out_path = str(tmp_path / "inst.txt")
+    refused = [
+        (("3col-to-ios-c3r", "--mode", "iot"), "--mode applies only to 3edge-to-t3r"),
+        (("3edge-to-um", "--mode", "ios"), "--mode applies only to 3edge-to-t3r"),
+        (("3edge-to-t3r", "--m", "9"), "--m applies only to 3edge-to-um, ios-c3r-to-umr, iot-c3r-to-umr"),
+        (("3col-to-iot-c3r", "--m", "4"), "--m applies only to"),
+    ]
+    for (kind, *flags), message in refused:
+        code, out, err = run(capsys, "reduce", kind, src, "--out", out_path, *flags)
+        assert code == 2 and out == "", (kind, flags)
+        assert f"error: {message}" in err, (kind, flags, err)
+    # an absent flag keeps its default: ios for 3edge-to-t3r, 4 for the U family
+    code, out, _ = run(capsys, "reduce", "3edge-to-t3r", src, "--out", out_path)
+    assert code == 0 and "target: T3r  mode: ios" in out
+    code, out, _ = run(capsys, "reduce", "3edge-to-t3r", src, "--out", out_path, "--mode", "iot")
+    assert code == 0 and "target: T3r  mode: iot" in out
+    code, out, _ = run(capsys, "reduce", "3edge-to-um", src, "--out", out_path)
+    assert code == 0 and "target: U4  mode: ios" in out
+
+
 def test_chi_output(write, capsys):
     path = write("p3.txt", format_edge_list(directed_path(3)))
     code, out, _ = run(capsys, "chi", path, "proper-ios")
@@ -243,6 +266,15 @@ def test_verify_suite(capsys):
     assert code == 0
     assert "12/12 checks passed" in out
     assert out.count("pass") >= 12
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_verify_suite_passes(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) >= 2 and lines[-1].endswith("checks passed")
+    assert all(line.startswith("pass") for line in lines[:-1]), lines
 
 
 def test_parse_error_reports_line(write, capsys):
@@ -281,6 +313,29 @@ def test_huge_u_target_is_refused_before_building(write, capsys, monkeypatch):
             code, out, err = run(capsys, command, path, name, "ios")
             assert code == 2 and out == ""
             assert f"error: U targets need m <= {targets.U_MAX}" in err
+
+
+def test_vertex_count_past_the_bound_is_an_input_error(write, capsys):
+    path = write("huge.txt", "10000000000 0\n")
+    for argv in (["decide", path, "C3", "ios"], ["solve", path, "C3", "ios"], ["chi", path, "proper-ios"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "error: line 1: at most 1000000 vertices allowed" in err, (argv, err)
+
+
+def test_reduction_past_the_bound_is_refused(write, capsys, tmp_path, monkeypatch):
+    # the U4 instance of K4 has 28 vertices and its lift to U9 has 32
+    src = write("k4.txt", format_undirected_edge_list(4, complete_graph(4).edges))
+    out_path = tmp_path / "inst.txt"
+    monkeypatch.setattr(reductions, "MAX_VERTICES", 28)
+    code, out, _ = run(capsys, "reduce", "3edge-to-um", src, "--out", str(out_path))
+    assert code == 0 and "wrote 28 vertices" in out
+    out_path.unlink()
+    for kind, flags in (("3edge-to-um", ("--m", "9")), ("3col-to-ios-c3r", ()), ("3edge-to-t3r", ())):
+        code, out, err = run(capsys, "reduce", kind, src, "--out", str(out_path), *flags)
+        assert code == 2 and out == "", kind
+        assert "error: reduction instance would pass 28 vertices" in err, (kind, err)
+        assert not out_path.exists()
 
 
 def _mutate(rng, text: bytes) -> bytes:

@@ -11,7 +11,7 @@ from injhom.fileformat import (
     parse_edge_list,
     parse_undirected_edge_list,
 )
-from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph
+from injhom.graphs import MAX_VERTICES, OrientedGraph, directed_cycle, directed_path, random_oriented_graph
 
 
 def test_roundtrip_plain():
@@ -78,6 +78,18 @@ def test_error_kinds():
         parse_edge_list("2 x\n")  # bad counts
     with pytest.raises(EdgeListError):
         parse_edge_list("-1 0\n")
+
+
+def test_vertex_count_bound():
+    assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    assert parse_undirected_edge_list(f"{MAX_VERTICES} 1\n0 1\n")[0] == MAX_VERTICES
+    for text, lineno in ((f"{MAX_VERTICES + 1} 0\n", 1), ("# big\n10000000000 1\n0 1\n", 2)):
+        for parse in (parse_edge_list, parse_undirected_edge_list):
+            with pytest.raises(EdgeListError, match=f"at most {MAX_VERTICES} vertices") as exc:
+                parse(text)
+            assert exc.value.lineno == lineno, (text, parse)
+    with pytest.raises(EdgeListError, match="at most"):
+        parse_edge_list("10000000000 0 reflexive\n")
 
 
 def test_undirected_roundtrip():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from injhom import solver
 from injhom.gadgets import apex_cycle, equalizer, in_star, selector_cycle
 from injhom.graphs import (
     Mode,
@@ -373,6 +374,10 @@ class SplitCounter(_Csp):
 def test_decision_on_split_inputs_matches_naive():
     # disjoint unions and two graphs glued at a cut vertex: inputs whose
     # undecided vertices fall apart into parts during the search
+    check_split_inputs_against_naive()
+
+
+def check_split_inputs_against_naive():
     rng = random.Random(51)
     SplitCounter.splits = 0
     for _ in range(40):
@@ -403,6 +408,26 @@ def test_failed_part_fails_the_decision_that_split_it_off():
     res = solve(g, T3r, Mode.IOS)
     assert res.satisfiable and res.witness.map[0] == 2
     assert check_hom(g, T3r, res.witness.map, Mode.IOS)
+
+
+def test_the_rest_of_a_split_is_searched_and_fails_back():
+    # YES instances on which a search that left the rest of a split off
+    # the agenda answered NO.  On the first, deciding 1 splits off
+    # {2, ..., 9, 11, 12}, which fails back past the solved rest {10}
+    # several times, and a later decision splits off {9}, which holds the
+    # branch vertex, from a rest that must still be searched.
+    cases = [
+        (13, [(0, 1), (0, 2), (0, 6), (1, 10), (3, 1), (3, 6), (3, 8), (3, 11), (3, 12), (4, 3),
+              (5, 1), (7, 4), (7, 5), (9, 7), (11, 5)], "U5r"),
+        (20, [(0, 1), (0, 3), (1, 5), (1, 6), (2, 0), (2, 13), (4, 3), (6, 14), (7, 6), (7, 9),
+              (7, 17), (8, 3), (9, 12), (10, 5), (11, 10), (11, 12), (11, 18), (12, 1), (12, 10),
+              (14, 15), (15, 6), (16, 7), (18, 14), (19, 5)], "U4r"),
+    ]
+    for n, arcs, name in cases:
+        g = OrientedGraph(n, arcs)
+        h = build_named(name)
+        res = solve(g, h, Mode.IOS)
+        assert res.satisfiable and check_hom(g, h, res.witness.map, Mode.IOS), name
 
 
 def petersen():
@@ -808,6 +833,18 @@ def test_search_matches_recursive_reference():
     # solutions; deciding: the same verdict as the reference's first
     # witness, a witness that checks and keeps the pins, and no more nodes,
     # since solving split-off parts alone only skips work
+    check_search_against_recursive_reference()
+
+
+def test_split_searches_stopped_at_a_tiny_cap_keep_every_answer(monkeypatch):
+    # a split search that stops unfinished leaves its part with the rest,
+    # which may change node counts but no verdict or witness check
+    monkeypatch.setattr(solver, "_PART_CAP", 2)
+    check_split_inputs_against_naive()
+    check_search_against_recursive_reference()
+
+
+def check_search_against_recursive_reference():
     for g, h, mode, pins in reference_corpus():
         ref = RecursiveSearch(g, h, mode, pins)
         want = list(itertools.islice(ref.solutions(), 200))
