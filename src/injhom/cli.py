@@ -87,13 +87,18 @@ def _parse_pins(spec: TargetSpec, texts) -> dict:
     pins = {}
     for text in texts or ():
         vertex, eq, label = text.partition("=")
-        if not eq or not vertex.isdigit():
+        if not eq or not vertex.isdecimal():
             raise ValueError(f"bad pin {text!r}; expected VERTEX=LABEL")
-        pins[int(vertex)] = label_index(spec, label)
+        v = int(vertex)
+        if v in pins:
+            raise ValueError(f"vertex {v} pinned twice")
+        pins[v] = label_index(spec, label)
     return pins
 
 
 def _cmd_solve(args) -> int:
+    if args.limit is not None and not args.enumerate:
+        raise ValueError("--limit applies only with --enumerate")
     g = _read_graph(args.input)
     spec = _resolve_target(args.target)
     mode = Mode.parse(args.mode)

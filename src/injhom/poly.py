@@ -6,7 +6,11 @@ every input of underlying degree at most 2 to a transfer DP along its
 paths and cycles.  The DP keeps each layer of states as one int bitmask
 and steps a layer through a per-call mask table from mask to next mask,
 so each walk vertex costs one dict lookup once the table has seen its
-mask; the per-state masks it unions are built once per target.
+mask; the per-state masks it unions are built once per target.  A path
+is walked from all of its start states at once.  A cycle's walk goes on
+through its closing arc and its first arc again, so closing takes two
+more steps of the same walk: the start states are tried in turn, each
+alone, and one works when the last layer holds it.
 One pass over the arcs fills two flat lists, each vertex's first and
 second walk neighbour (unsorted, -1 for none), and stops at the first
 vertex with a third, so this route builds no list per vertex and no in-,
@@ -167,10 +171,11 @@ def _walk_images(g, nbrs, h, mode):
             differ = list(map(operator.ne, forwards[-1:] + forwards[:-1], forwards))
         else:
             differ = [False] * len(forwards)
-        # moves[i] steps from the images of walk vertices i-1, i to i, i+1
+        # moves[i] steps from the images of walk vertices i-1, i to i, i+1;
+        # a cycle's walk closes through its last move and its first
         moves = list(map(table.__getitem__, zip(forwards, differ)))
-        first = arcs[forwards[0]]
-        states = _dp_cycle(n, first, moves) if is_cycle else _dp_path(first, moves)
+        walk = moves[1:] + moves[:1] if is_cycle else moves[1:]
+        states = _dp(arcs[forwards[0]], walk, is_cycle)
         if states is None:
             return None
         assignment[order[0]] = states[0] // n
@@ -205,36 +210,22 @@ def _trace_back(layers, moves, s) -> list:
     return states
 
 
-def _lowest(mask) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _dp_path(first, moves):
-    layers = _layers(first, moves[1:])
-    if layers is None:
-        return None
-    return _trace_back(layers, moves[1:], _lowest(layers[-1]))
-
-
-def _dp_cycle(n, first, moves):
-    """Try the start states in increasing order; each one's pass runs over
-    the masks that earlier passes left in the move tables."""
-    inner, closing, opening = moves[1:-1], moves[-1], moves[0]
-    starts = first
-    while starts:
-        s0 = _lowest(starts)
-        starts ^= 1 << s0
-        layers = _layers(1 << s0, inner)
+def _dp(first, walk, closed):
+    """The states of a walk from first through the moves of walk, or
+    None.  A closed walk must end in the state it starts from; each start
+    state's pass runs over the masks that earlier passes left."""
+    if not closed:
+        layers = _layers(first, walk)
         if layers is None:
-            continue
-        a0 = s0 // n
+            return None
         last = layers[-1]
-        while last:
-            s = _lowest(last)
-            last ^= 1 << s
-            wrap = s % n * n + a0  # the state that closes the cycle
-            if closing.masks[s] >> wrap & 1 and opening.masks[wrap] >> s0 & 1:
-                return _trace_back(layers, inner, s)
+        return _trace_back(layers, walk, (last & -last).bit_length() - 1)
+    while first:
+        start = first & -first
+        first ^= start
+        layers = _layers(start, walk)
+        if layers is not None and layers[-1] & start:
+            return _trace_back(layers, walk, start.bit_length() - 1)
     return None
 
 

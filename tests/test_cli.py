@@ -146,6 +146,25 @@ def test_bad_pin_is_usage_error(write, capsys):
     assert "error:" in err
 
 
+def test_solve_limit_without_enumerate_is_a_usage_error(write, capsys):
+    # --limit bounds an enumeration; a plain solve would ignore it
+    path = write("c3.txt", format_edge_list(directed_cycle(3)))
+    code, out, err = run(capsys, "solve", path, "C3r", "ios", "--limit", "2")
+    assert code == 2 and out == ""
+    assert "error: --limit applies only with --enumerate" in err
+
+
+def test_pin_given_twice_or_not_in_decimal_digits_is_a_usage_error(write, capsys):
+    path = write("c3.txt", format_edge_list(directed_cycle(3)))
+    code, out, err = run(capsys, "solve", path, "C3r", "ios", "--pin", "0=c1", "--pin", "0=c2")
+    assert code == 2 and out == ""
+    assert "error: vertex 0 pinned twice" in err
+    # a superscript two is a digit to str.isdigit but not to int()
+    code, out, err = run(capsys, "solve", path, "C3r", "ios", "--pin", "\u00b2=c1")
+    assert code == 2 and out == ""
+    assert "error: bad pin '\u00b2=c1'; expected VERTEX=LABEL" in err
+
+
 def test_gadget_stdout_and_roundtrip(write, capsys, tmp_path):
     code, out, _ = run(capsys, "gadget", "B", "8")
     assert code == 0

@@ -220,8 +220,9 @@ def test_degree2_dp_matches_solver_on_paths_and_cycles():
     custom = transitive_tournament(4)
     custom = OrientedGraph(4, [(v, u) if u == 0 and v == 3 else (u, v) for u, v in custom.arcs])
     targets = ["U6", "U9", "U5r", TargetSpec.from_graph(custom)]
-    for trial in range(24):
-        g = _paths_and_cycles(rng, 30)
+    for trial in range(36):
+        # the first 24 inputs are randomly oriented; the rest directed or antidirected
+        g = _paths_and_cycles(rng, 30, kinds=("random",) if trial < 24 else ("directed", "anti"))
         for target in targets:
             h = target.build() if isinstance(target, TargetSpec) else build_named(target)
             for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):

@@ -400,10 +400,20 @@ def check_split_inputs_against_naive():
 
 
 def test_failed_part_fails_the_decision_that_split_it_off():
-    # vertex 0 splits the rest into {1} and {2, 3, 4, 5}.  With 0 -> 1 the
-    # second part needs three distinct in-neighbours of 2 inside {0, 1},
-    # which propagation alone does not see; the search must come back to
-    # vertex 0, past the solved part {1}, and answer YES with 0 -> 2
+    # 0 -> 0 holds, and deciding 3 -> 0 then splits off the part {2, 5, 6}
+    # from the rest {4}.  That part has no solution: it must fail back to
+    # vertex 3's decision, not to the root, and 3 -> 1 answers YES
+    g = OrientedGraph(7, [(0, 3), (2, 0), (2, 6), (4, 3), (5, 2), (5, 6)])
+    h = build_named("U4r")
+    SplitCounter.splits = 0
+    first = next(SplitCounter(g, h, Mode.IOT).solutions(first_only=True), None)
+    assert SplitCounter.splits > 0
+    assert first is not None and first[0] == 0 and first[3] == 1
+    assert check_hom(g, h, first, Mode.IOT)
+    # vertex 2's three in-neighbours need distinct images, which only
+    # 0 -> 2 allows: propagation wipes out 0 -> 0 and 0 -> 1 at once.  The
+    # in-neighbours must differ pairwise, so the splits after 2 and 3 are
+    # decided find them in one region and split off no part
     g = OrientedGraph(6, [(0, 1), (2, 0), (3, 2), (4, 2), (5, 2)])
     res = solve(g, T3r, Mode.IOS)
     assert res.satisfiable and res.witness.map[0] == 2
@@ -905,7 +915,8 @@ def _sparse_walks(rng, n, tries):
 
 def test_search_and_dp_agree_on_a_seventy_value_target():
     rng = random.Random(7070)
-    inputs = (directed_cycle(6), directed_path(40), _sparse_walks(rng, 40, 60))
+    inputs = (directed_cycle(6), directed_path(40), _sparse_walks(rng, 40, 60),
+              directed_cycle(5), directed_cycle(7))
     for reflexive in (False, True):
         h = u_tournament(70, reflexive)
         for g in inputs:
@@ -914,6 +925,8 @@ def test_search_and_dp_agree_on_a_seventy_value_target():
                 verdict = decide_poly(g, h, mode)
                 assert verdict.algorithm == "degree2-dp"
                 assert res.satisfiable == verdict.satisfiable, (reflexive, g, mode)
+                if g.n in (5, 7):  # the directed 5- and 7-cycles: NO against U70, YES against U70r
+                    assert verdict.satisfiable == reflexive, (g, mode)
                 for found in (res, verdict):
                     if found.satisfiable:
                         assert check_hom(g, h, found.witness.map, mode), (reflexive, g, mode)
