@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import OrientedGraph
+from .graphs import MAX_VERTICES, OrientedGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,12 +23,19 @@ class Gadget:
         return [self.roles[name] for name in names]
 
 
+def _check_size(n: int) -> None:
+    """Refuse a gadget past MAX_VERTICES before building any of it."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"gadget would have {n} vertices, more than {MAX_VERTICES}")
+
+
 def apex_cycle(d: int) -> Gadget:
     """Directed cycle v1..v_{6d} where every second cycle arc is completed
     to a directed triangle by an apex: v_{2t} -> x_t -> v_{2t-1} for
     t = 1..3d.  9d vertices, 12d arcs.  CLI id "D"."""
     if d < 1:
         raise ValueError("apex_cycle needs d >= 1")
+    _check_size(9 * d)
     cyc = 6 * d
     arcs = [(i, (i + 1) % cyc) for i in range(cyc)]
     roles = {}
@@ -49,6 +56,7 @@ def selector_cycle(d: int) -> Gadget:
     take a single image.  10d vertices.  CLI id "X"."""
     if d < 2:
         raise ValueError("selector_cycle needs d >= 2")
+    _check_size(10 * d)
     base = apex_cycle(d)
     arcs = list(base.graph.arcs)
     roles = dict(base.roles)
@@ -80,6 +88,7 @@ def antidirected_cycle(n: int) -> Gadget:
     "B"."""
     if n < 4 or n % 2:
         raise ValueError("antidirected_cycle needs even n >= 4")
+    _check_size(n)
     arcs = []
     for k in range(0, n, 2):
         arcs.append((k, k + 1))

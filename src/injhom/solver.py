@@ -1,24 +1,28 @@
 """Exact backtracking search for locally injective homomorphisms.
 
-A (G, H, mode) question becomes a binary constraint problem: one variable
-per vertex of G with domain V(H), arc constraints for arc preservation,
-and an all-different constraint on each neighbourhood the mode protects.
-The protected neighbourhoods are listed once, at each of their members,
-and the three difference rules all walk that list.  Propagation has four
-rules, so the forcing gadgets collapse by unit propagation instead of
-search: arc support in both directions, singleton elimination, the
-naked-pair rule (two members of one protected neighbourhood on the same
-two values use both up, so its other members lose them: the size-two
-Hall sets of the all-different constraint), and the pair-union rule (when
-those two are both in- or both out-neighbours of the centre, the centre
-may take only the intersection of the two values' masks).  Domains are
-bitmasks.  Each target value has an out- and an in-mask, its loop
-included; the values an arc neighbour may take are read from tables that
-map a domain mask to the union of its values' masks.  The masks and
-tables are shared between searches against equal targets, and the
-transfer DP in poly steps its layers through the same kind of table.
-The input's side of the problem reads the graph's own neighbour lists
-and is built afresh for each search.
+A (G, H, mode) question becomes a binary constraint problem: one
+variable per vertex of G with domain V(H), arc constraints for arc
+preservation, and an all-different constraint on each neighbourhood the
+mode protects.  The protected neighbourhoods are listed once, at each of
+their members without that member, and each vertex's partners (the other
+members of all of them, in the same order) are one flat list; the
+singleton rule walks the partners and the two pair rules the
+neighbourhoods.  Propagation has four rules, so the forcing gadgets
+collapse by unit propagation instead of search: arc support in both
+directions, singleton elimination, the naked-pair rule (two members of
+one protected neighbourhood on the same two values use both up, so its
+other members lose them: the size-two Hall sets of the all-different
+constraint), and the pair-union rule (when those two are both in- or
+both out-neighbours of the centre, the centre may take only the
+intersection of the two values' masks).  Domains are bitmasks.  Each
+target value has an out- and an in-mask, its loop included; the values
+an arc neighbour may take are read from tables that map a domain mask to
+the union of its values' masks, and an arc side whose union is the whole
+target removes nothing and is skipped.  The masks and tables are shared
+between searches against equal targets, and the transfer DP in poly
+steps its layers through the same kind of table.  The input's side of the
+problem reads the graph's own neighbour lists and is built afresh for
+each search.
 
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
@@ -130,8 +134,9 @@ class _Csp:
     """One prepared search instance; not reusable across calls.
 
     The graph side holds, for each vertex, the protected neighbourhoods it
-    belongs to, as (centre, members), and its constraint neighbours (arc
-    neighbours and the other members of those neighbourhoods)."""
+    belongs to, as (centre, the other members), its partners (the other
+    members of all of those, in the same order, repeats kept) and its
+    constraint neighbours (arc neighbours and partners, once each)."""
 
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
@@ -139,24 +144,39 @@ class _Csp:
         self.nodes = 0
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         hn = h.n
+        self.full = (1 << hn) - 1
         self.out_support, self.in_support = _target_tables(h)
         nbhds_at = [[] for _ in range(g.n)]
-        for entry in _neighbourhoods(g, mode):
-            for w in entry[1]:
-                nbhds_at[w].append(entry)
-        self.nbhds_at = nbhds_at
-        nbrs = []
-        for v, (outs, ins, entries) in enumerate(zip(g.out_nbrs, g.in_nbrs, nbhds_at)):
-            if entries:
-                near = {*outs, *ins}
-                for _, members in entries:
-                    near.update(members)
-                near.discard(v)
-                nbrs.append(sorted(near))
+        partners = [[] for _ in range(g.n)]
+        # nearly every neighbourhood of a hardness instance has two or
+        # three members; those are placed without slicing
+        for centre, members in _neighbourhoods(g, mode):
+            if len(members) == 2:
+                a, b = members
+                nbhds_at[a].append((centre, (b,)))
+                nbhds_at[b].append((centre, (a,)))
+                partners[a].append(b)
+                partners[b].append(a)
+            elif len(members) == 3:
+                a, b, c = members
+                nbhds_at[a].append((centre, (b, c)))
+                nbhds_at[b].append((centre, (a, c)))
+                nbhds_at[c].append((centre, (a, b)))
+                partners[a] += b, c
+                partners[b] += a, c
+                partners[c] += a, b
             else:
-                nbrs.append(sorted(outs + ins))
-        self.constraint_nbrs = nbrs
-        self.start = [(1 << hn) - 1] * g.n
+                for i, w in enumerate(members):
+                    others = members[:i] + members[i + 1:]
+                    nbhds_at[w].append((centre, others))
+                    partners[w].extend(others)
+        self.nbhds_at = nbhds_at
+        self.partners = partners
+        self.constraint_nbrs = [
+            sorted({*outs, *ins, *near}) if near else sorted(outs + ins)
+            for outs, ins, near in zip(g.out_nbrs, g.in_nbrs, partners)
+        ]
+        self.start = [self.full] * g.n
         if pins:
             for v, a in pins.items():
                 if not (isinstance(v, int) and 0 <= v < g.n):
@@ -171,22 +191,25 @@ class _Csp:
         old domain).  A wipeout returns False and leaves its partial
         changes on trail for the caller to undo.
 
-        The three difference rules walk the popped vertex v's protected
-        neighbourhoods.  A singleton v takes its value from the other
-        members.  A two-valued v looks in each neighbourhood for a twin,
-        another member with the same two values: the two use both values
-        up, so the other members lose them (the naked-pair rule), and when
-        v and the twin are both in-neighbours, or both out-neighbours, of
-        the centre, the centre may take only values that both of the two
-        values reach (the pair-union rule).  Each rule's premise holds only
-        once some vertex reaches that domain, and that vertex is then
-        pushed, so the fixpoint, and with it every node count, is the one
-        all rules reach in any order.  A pair with a singleton member is
-        never a twin: the singleton rule and the arc rules force its
-        common neighbours as far as the pair-union rule would.  The
-        naked-pair rule removes only values no solution uses, and the
-        members of a neighbourhood are pairwise constraint neighbours, so
-        it never reaches across the parts a decision splits off."""
+        An arc side whose support is the whole target removes nothing and
+        is skipped (the no-op revisions of AC-3).  The three difference
+        rules read the popped vertex v's partners and protected
+        neighbourhoods, each without v itself.  A singleton v takes its
+        value from its partners.  A two-valued v looks in each
+        neighbourhood for a twin, another member with the same two values:
+        the two use both values up, so the other members lose them (the
+        naked-pair rule), and when v and the twin are both in-neighbours,
+        or both out-neighbours, of the centre, the centre may take only
+        values that both of the two values reach (the pair-union rule).
+        Each rule's premise holds only once some vertex reaches that
+        domain, and that vertex is then pushed, so the fixpoint, and with
+        it every node count, is the one all rules reach in any order.  A
+        pair with a singleton member is never a twin: the singleton rule
+        and the arc rules force its common neighbours as far as the
+        pair-union rule would.  The naked-pair rule removes only values no
+        solution uses, and the members of a neighbourhood are pairwise
+        constraint neighbours, so it never reaches across the parts a
+        decision splits off."""
         out_support = self.out_support
         in_support = self.in_support
         out_masks = out_support.masks
@@ -194,66 +217,80 @@ class _Csp:
         out_nbrs = self.g.out_nbrs
         in_nbrs = self.g.in_nbrs
         arcs = self.g.arcs
+        full = self.full
         nbhds_at = self.nbhds_at
+        partners = self.partners
         log = trail.append
         while stack:
             v = stack.pop()
             dv = dom[v]
-            if out_nbrs[v]:
+            nbrs = out_nbrs[v]
+            if nbrs:
                 support = out_support[dv]
-                for w in out_nbrs[v]:
+                if support != full:
+                    for w in nbrs:
+                        dw = dom[w]
+                        nd = dw & support
+                        if nd != dw:
+                            if not nd:
+                                return False
+                            log((w, dw))
+                            dom[w] = nd
+                            stack.append(w)
+            nbrs = in_nbrs[v]
+            if nbrs:
+                support = in_support[dv]
+                if support != full:
+                    for u in nbrs:
+                        du = dom[u]
+                        nd = du & support
+                        if nd != du:
+                            if not nd:
+                                return False
+                            log((u, du))
+                            dom[u] = nd
+                            stack.append(u)
+            if dv & (dv - 1) == 0:  # a singleton: the partners lose its value
+                keep = ~dv
+                for w in partners[v]:
                     dw = dom[w]
-                    nd = dw & support
-                    if nd != dw:
+                    if dw & dv:
+                        nd = dw & keep
                         if not nd:
                             return False
                         log((w, dw))
                         dom[w] = nd
                         stack.append(w)
-            if in_nbrs[v]:
-                support = in_support[dv]
-                for u in in_nbrs[v]:
-                    du = dom[u]
-                    nd = du & support
-                    if nd != du:
-                        if not nd:
-                            return False
-                        log((u, du))
-                        dom[u] = nd
-                        stack.append(u)
-            single = dv & (dv - 1) == 0
-            if not single and dv.bit_count() != 2:
+                continue
+            if dv.bit_count() != 2:
                 continue
             keep = ~dv
-            for centre, members in nbhds_at[v]:
-                if single:  # the other members lose v's value
-                    twin = v
-                else:  # a twin on v's two values: the others lose both
-                    for twin in members:
-                        if dom[twin] == dv and twin != v:
-                            break
-                    else:
-                        continue
-                    if (v, centre) in arcs and (twin, centre) in arcs:
-                        masks = out_masks  # the centre is a common head
-                    elif (centre, v) in arcs and (centre, twin) in arcs:
-                        masks = in_masks  # a common tail
-                    else:
-                        masks = None  # mixed sides, or the twin is the centre
-                    if masks is not None:
-                        x = (dv & -dv).bit_length() - 1  # v's two values
-                        y = dv.bit_length() - 1
-                        dw = dom[centre]
-                        nd = dw & masks[x] & masks[y]
-                        if nd != dw:
-                            if not nd:
-                                return False
-                            log((centre, dw))
-                            dom[centre] = nd
-                            stack.append(centre)
-                for w in members:
+            for centre, others in nbhds_at[v]:
+                for twin in others:  # a twin on v's two values
+                    if dom[twin] == dv:
+                        break
+                else:
+                    continue
+                if (v, centre) in arcs and (twin, centre) in arcs:
+                    masks = out_masks  # the centre is a common head
+                elif (centre, v) in arcs and (centre, twin) in arcs:
+                    masks = in_masks  # a common tail
+                else:
+                    masks = None  # mixed sides, or the twin is the centre
+                if masks is not None:
+                    x = (dv & -dv).bit_length() - 1  # v's two values
+                    y = dv.bit_length() - 1
+                    dw = dom[centre]
+                    nd = dw & masks[x] & masks[y]
+                    if nd != dw:
+                        if not nd:
+                            return False
+                        log((centre, dw))
+                        dom[centre] = nd
+                        stack.append(centre)
+                for w in others:  # the others lose both values
                     dw = dom[w]
-                    if dw & dv and w != v and w != twin:
+                    if dw & dv and w != twin:
                         nd = dw & keep
                         if not nd:  # w held nothing but v's values
                             return False
@@ -482,10 +519,11 @@ def _target_tables(h: OrientedGraph) -> tuple:
     are each value's out- and in-neighbours.
 
     Entries depend on the target alone, so every search against an equal
-    target shares them.  The command line builds its named targets afresh
-    for every command, and callers in one process ask about the same few
-    targets again and again; the bound holds every named target with room
-    for many custom ones.
+    target shares them.  Named targets are built once per process, and
+    callers in one process ask about the same few targets again and again;
+    custom targets, read from a file for every command, find their tables
+    by equality.  The bound holds every named target with room for many
+    custom ones.
     """
     out_mask = [0] * h.n
     in_mask = [0] * h.n

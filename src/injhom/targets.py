@@ -10,6 +10,7 @@ built.  A custom target is any tournament supplied as an OrientedGraph.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -79,12 +80,20 @@ def u_tournament(m: int, reflexive: bool = False) -> OrientedGraph:
 
 
 def build_named(spec) -> OrientedGraph:
-    """Resolve a TargetSpec (or a bare name string) to its graph."""
+    """Resolve a TargetSpec (or a bare name string) to its graph.  Each
+    named target is built once per process and shared, as graphs are
+    immutable; custom targets are returned as given."""
     if isinstance(spec, str):
         spec = TargetSpec.parse(spec)
     if spec.custom is not None:
         return spec.custom
-    family, size, reflexive = _parse_name(spec.name)
+    return _build(*_parse_name(spec.name))
+
+
+# keyed by the parsed name, so "U04" and "U4" share one entry: at most the
+# 202 targets T1-T3, C3 and U4-U100, each plain or reflexive
+@functools.lru_cache(maxsize=None)
+def _build(family, size, reflexive) -> OrientedGraph:
     if family == "U":
         return u_tournament(size, reflexive)
     if family == "C3":

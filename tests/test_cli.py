@@ -1,4 +1,6 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +179,7 @@ def test_gadget_stdout_and_roundtrip(write, capsys, tmp_path):
     code, out, _ = run(capsys, "gadget", "B", "8", "--emit", emit)
     assert code == 0
     assert f"wrote 8 vertices / 8 arcs to {emit}" in out
-    again = parse_edge_list(open(emit).read())
+    again = parse_edge_list(Path(emit).read_text())
     assert again.arcs == direct.arcs
 
 
@@ -186,6 +188,16 @@ def test_gadget_errors(capsys):
     assert code == 2 and "unknown gadget" in err
     code, _, err = run(capsys, "gadget", "B")
     assert code == 2 and "parameter" in err
+
+
+def test_gadget_past_the_bound_is_refused_before_building(capsys):
+    # D, X and B at 10^7 ask for 9 * 10^7, 10^8 and 10^7 vertices
+    for name in ("D", "X", "B"):
+        start = time.process_time()
+        code, out, err = run(capsys, "gadget", name, str(10**7))
+        assert time.process_time() - start < 1.0, name
+        assert code == 2 and out == "", name
+        assert "error: gadget would have" in err and "more than 1000000" in err, (name, err)
 
 
 def test_gadget_decide_pipeline(write, capsys, tmp_path):
@@ -209,9 +221,9 @@ def test_reduce_writes_instance_and_provenance(write, capsys, tmp_path):
     assert code == 0
     assert f"wrote 138 vertices / 192 arcs to {out_path}" in out
     assert "target: C3r  mode: ios" in out
-    inst = parse_edge_list(open(out_path).read())
+    inst = parse_edge_list(Path(out_path).read_text())
     assert inst.n == 138
-    prov = open(out_path + ".prov").read()
+    prov = Path(out_path + ".prov").read_text()
     assert prov.startswith("edge 0-1:")
     assert "vertex 0:" in prov
 
@@ -223,7 +235,7 @@ def test_reduce_um_kind(write, capsys, tmp_path):
     code, out, _ = run(capsys, "reduce", "3edge-to-um", src, "--out", out_path, "--m", "5")
     assert code == 0
     assert "target: U5" in out
-    assert parse_edge_list(open(out_path).read()).n == 32
+    assert parse_edge_list(Path(out_path).read_text()).n == 32
 
 
 def test_reduce_oriented_kind(write, capsys, tmp_path):

@@ -24,8 +24,11 @@ from injhom.reductions import (
     bridged_cubic_graph,
     complete_bipartite,
     complete_graph,
+    prism_graph,
+    reduce_3col_to_ios_c3r,
     reduce_3col_to_iot_c3r,
     reduce_3edge_to_t3r,
+    reduce_3edge_to_u4,
 )
 from injhom.solver import _Csp, _MaskTable, _neighbourhoods, check_hom, enumerate_homs, solve
 from injhom.targets import build_named, u_tournament
@@ -158,8 +161,15 @@ def _ref_nbhds_at(g, mode):
     return nbhds_at
 
 
+def _ref_others_at(g, mode):
+    """_ref_nbhds_at with each neighbourhood stored without the vertex it
+    is stored at: (centre, the other members, sorted)."""
+    return [[(x, tuple(w for w in group if w != v)) for x, group in entries]
+            for v, entries in enumerate(_ref_nbhds_at(g, mode))]
+
+
 def _sorted_nbhds_at(csp):
-    return [[(centre, tuple(sorted(members))) for centre, members in entries] for entries in csp.nbhds_at]
+    return [[(centre, tuple(sorted(others))) for centre, others in entries] for entries in csp.nbhds_at]
 
 
 def test_graph_side_matches_per_pair_derivation():
@@ -172,7 +182,30 @@ def test_graph_side_matches_per_pair_derivation():
             assert _protected_pairs(g, mode) == _ref_protected_pairs(g, mode), (trial, mode)
             csp = _Csp(g, C3r, mode)
             assert csp.constraint_nbrs == _ref_graph_side(g, mode)[1], (trial, mode)
-            assert _sorted_nbhds_at(csp) == _ref_nbhds_at(g, mode), (trial, mode)
+            assert _sorted_nbhds_at(csp) == _ref_others_at(g, mode), (trial, mode)
+
+
+def test_partners_are_the_other_members_in_entry_order():
+    # a vertex's partners are the other members of each neighbourhood it
+    # lies in, one neighbourhood after another in the order of its
+    # entries, so a vertex appears once per neighbourhood the two share
+    rng = random.Random(1313)
+    for trial in range(1000):
+        g = random_oriented_graph(rng.randint(1, 12), rng, arc_chance=rng.random())
+        if rng.random() < 0.3:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        for mode in MODES:
+            csp = _Csp(g, C3r, mode)
+            for v, entries in enumerate(_ref_others_at(g, mode)):
+                rest = list(csp.partners[v])
+                chunks = []
+                for _, others in entries:
+                    chunks.append(tuple(sorted(rest[:len(others)])))
+                    del rest[:len(others)]
+                assert not rest and chunks == [others for _, others in entries], (trial, mode, v)
+                # the singleton rule walks the partners, the pair rules the
+                # entries: the same vertices in the same order
+                assert list(csp.partners[v]) == [w for _, others in csp.nbhds_at[v] for w in others]
 
 
 def _propagated(g, h, mode, dom, changed):
@@ -221,17 +254,26 @@ def test_groups_are_the_protected_neighbourhoods():
     # 1 -> 0 -> 2, 0 -> 3: under iot 0's neighbourhood is {1, 2, 3};
     # under ios only its out-neighbourhood has two members
     g = OrientedGraph(4, [(1, 0), (0, 2), (0, 3)])
-    assert _sorted_nbhds_at(_Csp(g, T3r, Mode.IOT)) == [[], [(0, (1, 2, 3))], [(0, (1, 2, 3))], [(0, (1, 2, 3))]]
-    assert _sorted_nbhds_at(_Csp(g, T3r, Mode.IOS)) == [[], [], [(0, (2, 3))], [(0, (2, 3))]]
-    # under loops a vertex is in its own neighbourhoods
+    # each member holds the neighbourhood without itself
+    csp = _Csp(g, T3r, Mode.IOT)
+    assert _sorted_nbhds_at(csp) == [[], [(0, (2, 3))], [(0, (1, 3))], [(0, (1, 2))]]
+    assert csp.partners == [[], [2, 3], [1, 3], [1, 2]]
+    csp = _Csp(g, T3r, Mode.IOS)
+    assert _sorted_nbhds_at(csp) == [[], [], [(0, (3,))], [(0, (2,))]]
+    assert csp.partners == [[], [], [3], [2]]
+    # under loops a vertex is in its own neighbourhoods, and a partner that
+    # shares two neighbourhoods with it appears twice
     g = OrientedGraph(3, [(1, 0), (2, 0)], reflexive=True)
-    assert _sorted_nbhds_at(_Csp(g, T3r, Mode.IOS)) == [
-        [(0, (0, 1, 2)), (1, (0, 1)), (2, (0, 2))],
-        [(0, (0, 1, 2)), (1, (0, 1))],
-        [(0, (0, 1, 2)), (2, (0, 2))],
+    csp = _Csp(g, T3r, Mode.IOS)
+    assert _sorted_nbhds_at(csp) == [
+        [(0, (1, 2)), (1, (1,)), (2, (2,))],
+        [(0, (0, 2)), (1, (0,))],
+        [(0, (0, 1)), (2, (0,))],
     ]
+    assert csp.partners == [[1, 2, 1, 2], [2, 0, 0], [1, 0, 0]]
     # plain mode protects nothing
-    assert _Csp(in_star().graph, T3r, Mode.PLAIN).nbhds_at == [[]] * 4
+    csp = _Csp(in_star().graph, T3r, Mode.PLAIN)
+    assert csp.nbhds_at == csp.partners == [[]] * 4
 
 
 def test_check_hom_constant_onto_reflexive():
@@ -844,6 +886,39 @@ def test_search_matches_recursive_reference():
     # witness, a witness that checks and keeps the pins, and no more nodes,
     # since solving split-off parts alone only skips work
     check_search_against_recursive_reference()
+
+
+def test_propagation_matches_the_recursive_reference_on_reductions():
+    # from equal domains, the solver's rules and the reference's derived
+    # structures reach equal domains or both wipe out: at the root, and
+    # after each single value at every vertex the root leaves undecided,
+    # the first branch vertex among them
+    cases = []
+    for src in (complete_graph(4), prism_graph()):
+        cases.append(reduce_3col_to_ios_c3r(src))
+        cases.append(reduce_3col_to_iot_c3r(src))
+        cases.append(reduce_3edge_to_t3r(src, Mode.IOS))
+        cases.append(reduce_3edge_to_t3r(src, Mode.IOT))
+        cases.append(reduce_3edge_to_u4(src))
+    for inst in cases:
+        g, h, mode = inst.graph, build_named(inst.target), inst.mode
+        csp = _Csp(g, h, mode)
+        ref = RecursiveSearch(g, h, mode)
+        root = list(csp.start)
+        want = list(root)
+        assert csp._propagate(root, list(range(g.n)), [])
+        assert ref._propagate(want, list(range(g.n)))
+        assert root == want, (inst.target, mode)
+        undecided = [v for v in range(g.n) if root[v] & (root[v] - 1)]
+        assert undecided, (inst.target, mode)
+        for v in undecided:
+            for a in _bit_indices(root[v]):
+                got = list(root)
+                got[v] = 1 << a
+                want = list(got)
+                ok = csp._propagate(got, [v], [])
+                assert ok == ref._propagate(want, [v]), (inst.target, mode, v, a)
+                assert not ok or got == want, (inst.target, mode, v, a)
 
 
 def test_split_searches_stopped_at_a_tiny_cap_keep_every_answer(monkeypatch):

@@ -22,6 +22,17 @@ def test_named_targets_build():
         assert is_tournament(g)
 
 
+def test_named_targets_are_built_once():
+    # one graph per target, whatever spelling or spec names it
+    assert build_named("U4") is build_named("U04") is build_named(TargetSpec.parse("U4"))
+    assert build_named("T3r") is TargetSpec.parse("T3r").build()
+    assert build_named("U4") is not build_named("U4r")
+    assert build_named("U4") == u_tournament(4)
+    # a custom target is the graph given
+    custom = OrientedGraph(2, [(1, 0)])
+    assert build_named(TargetSpec.from_graph(custom)) is custom
+
+
 def test_unknown_name_message():
     with pytest.raises(ValueError) as exc:
         build_named("T9")
