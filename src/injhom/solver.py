@@ -148,8 +148,8 @@ class _Csp:
         self.out_support, self.in_support = _target_tables(h)
         nbhds_at = [[] for _ in range(g.n)]
         partners = [[] for _ in range(g.n)]
-        # nearly every neighbourhood of a hardness instance has two or
-        # three members; those are placed without slicing
+        # most neighbourhoods of a hardness instance have two members;
+        # those are placed without slicing
         for centre, members in _neighbourhoods(g, mode):
             if len(members) == 2:
                 a, b = members
@@ -157,14 +157,6 @@ class _Csp:
                 nbhds_at[b].append((centre, (a,)))
                 partners[a].append(b)
                 partners[b].append(a)
-            elif len(members) == 3:
-                a, b, c = members
-                nbhds_at[a].append((centre, (b, c)))
-                nbhds_at[b].append((centre, (a, c)))
-                nbhds_at[c].append((centre, (a, b)))
-                partners[a] += b, c
-                partners[b] += a, c
-                partners[c] += a, b
             else:
                 for i, w in enumerate(members):
                     others = members[:i] + members[i + 1:]

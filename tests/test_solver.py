@@ -183,29 +183,9 @@ def test_graph_side_matches_per_pair_derivation():
             csp = _Csp(g, C3r, mode)
             assert csp.constraint_nbrs == _ref_graph_side(g, mode)[1], (trial, mode)
             assert _sorted_nbhds_at(csp) == _ref_others_at(g, mode), (trial, mode)
-
-
-def test_partners_are_the_other_members_in_entry_order():
-    # a vertex's partners are the other members of each neighbourhood it
-    # lies in, one neighbourhood after another in the order of its
-    # entries, so a vertex appears once per neighbourhood the two share
-    rng = random.Random(1313)
-    for trial in range(1000):
-        g = random_oriented_graph(rng.randint(1, 12), rng, arc_chance=rng.random())
-        if rng.random() < 0.3:
-            g = OrientedGraph(g.n, g.arcs, reflexive=True)
-        for mode in MODES:
-            csp = _Csp(g, C3r, mode)
-            for v, entries in enumerate(_ref_others_at(g, mode)):
-                rest = list(csp.partners[v])
-                chunks = []
-                for _, others in entries:
-                    chunks.append(tuple(sorted(rest[:len(others)])))
-                    del rest[:len(others)]
-                assert not rest and chunks == [others for _, others in entries], (trial, mode, v)
-                # the singleton rule walks the partners, the pair rules the
-                # entries: the same vertices in the same order
-                assert list(csp.partners[v]) == [w for _, others in csp.nbhds_at[v] for w in others]
+            # the singleton rule walks the partners, the pair rules the
+            # entries: the same vertices in the same order
+            assert csp.partners == [[w for _, o in e for w in o] for e in csp.nbhds_at], (trial, mode)
 
 
 def _propagated(g, h, mode, dom, changed):
