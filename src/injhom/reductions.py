@@ -317,7 +317,7 @@ def lift_u4_instance(inst: ReductionInstance, m: int) -> ReductionInstance:
     check_u_size(m)
     if inst.target != "U4":
         raise ValueError("can only lift U4 instances")
-    arcs = list(inst.graph.arcs)
+    pendants = []
     prov = {key: dict(table) for key, table in inst.provenance.items()}
     n = inst.graph.n
     for key, table in prov.items():
@@ -328,11 +328,12 @@ def lift_u4_instance(inst: ReductionInstance, m: int) -> ReductionInstance:
         _check_size(n + need)
         for p in range(need):
             table[f"pend{p + 1}"] = n
-            arcs.append((n, x))
+            pendants.append((n, x))
             n += 1
-    return ReductionInstance(
-        OrientedGraph(n, arcs), prov, inst.source_kind, f"U{m}", inst.mode
-    )
+    # the U4 instance was checked when it was built, and each pendant arc
+    # joins a fresh vertex to an old one: no loop, repeat or digon
+    lifted = OrientedGraph._checked(n, inst.graph.arcs.union(pendants))
+    return ReductionInstance(lifted, prov, inst.source_kind, f"U{m}", inst.mode)
 
 
 def reduce_3edge_to_um(g: SimpleGraph, m: int = 4) -> ReductionInstance:

@@ -31,8 +31,12 @@ Deciding and enumerating run the same loop.  Deciding (stopping at the
 first solution) also solves the parts that the decided vertices split
 the rest into one at a time, each found by a capped search from a
 neighbour of the decision, and a part without a solution fails the
-decision that split it off; enumeration is that loop without splits or
-backjumps, in the plain chronological order.
+decision that split it off.  Where a failure ends the whole search (the
+root, the parts split off there and each component no decision touches)
+a decision tries only the lowest value of each orbit of the target's
+automorphisms, since the image of a value that failed fails too.
+Enumeration is that loop without splits, backjumps or skipped values, in
+the plain chronological order.
 
 Reflexive input graphs are accepted: a loop puts the vertex inside its
 own neighbourhoods (so its image must differ from its protected
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -54,6 +59,10 @@ from .graphs import Mode, OrientedGraph
 # count.  With no cap the counts hold, but three 6,100-vertex T3r
 # instances take 8-20 s instead of 3-9 s (2-vCPU x86 guest, Python 3.11).
 _PART_CAP = 128
+
+# The most permutations _value_orbits tries in its search for the
+# target's automorphisms: 7!, every permutation of a 7-vertex target.
+_ORBIT_CAP = 5040
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,7 @@ class _Csp:
             for outs, ins, near in zip(g.out_nbrs, g.in_nbrs, partners)
         ]
         self.start = [self.full] * g.n
+        self.pinned = bool(pins)
         if pins:
             for v, a in pins.items():
                 if not (isinstance(v, int) and 0 <= v < g.n):
@@ -327,6 +337,24 @@ class _Csp:
         that never splits is searched exactly as there.  After the first
         solution such a search may skip others.
 
+        A first-only search without pins against three or more values
+        also skips symmetric values at the frames whose failure ends the
+        whole search (backjump target -1): the root frame, the parts split
+        off at the root and each fresh component.  There it tries only the
+        lowest value of each orbit of the target's automorphism group
+        (_value_orbits).  This is sound: root propagation from whole-target
+        domains commutes with every automorphism, so it reaches domains
+        that each automorphism maps onto themselves, and a root singleton
+        is a value every automorphism fixes.  Such a frame's vertices keep
+        their root domains and meet only root singletons, so its
+        subproblem maps onto itself too, and a value whose subtree failed
+        has images that fail alike.  The lowest value of a domain is the
+        lowest of its orbit, so the first value tried, every witness and
+        every verdict stay the same and no count of nodes rises.  Pins
+        break the symmetry of the root domains, so the rule is off under
+        pins.  It is off against two or fewer values as well, where every
+        frame fails back to the root, not only these.
+
         Against a target of at most two vertices every undecided domain is
         the whole target, so once propagation settles, the constraints left
         among undecided vertices are some of the input's own: a part
@@ -346,6 +374,12 @@ class _Csp:
         self._owner = [0] * n
         self._next_id = 1
         self._first_only = first_only
+        # the values tried at a frame whose failure ends the search: the
+        # lowest of each orbit of the target's automorphisms
+        self._reps = self.full
+        if first_only and self.h.n > 2 and not self.pinned:
+            for orbit in _value_orbits(self.h):
+                self._reps &= ~(orbit & (orbit - 1))
         trail = []
         decided = [v for v in range(n) if dom[v] & (dom[v] - 1) == 0]
         frame = self._next_frame(dom, set(), decided, None, -1, 0, 0)
@@ -432,7 +466,8 @@ class _Csp:
             best = low_free
             if self._first_only:
                 back = -1
-        return [best, dom[best], mark, front, low_free, back, agenda]
+        untried = dom[best] if back != -1 else dom[best] & self._reps
+        return [best, untried, mark, front, low_free, back, agenda]
 
     def _split(self, dom, seeds) -> list:
         """The parts of the undecided vertices that seeds fall into, as
@@ -502,6 +537,35 @@ def _lowest_free(dom, low_free) -> int:
     while low_free < n and dom[low_free] & (dom[low_free] - 1) == 0:
         low_free += 1
     return low_free
+
+
+@functools.lru_cache(maxsize=256)
+def _value_orbits(h: OrientedGraph) -> tuple:
+    """The orbits of the target's automorphism group on its values that
+    hold two or more values, as masks in increasing order.
+
+    The group is found by brute force over the permutations that keep
+    each value's (out-degree, in-degree); when those number more than
+    _ORBIT_CAP, no orbits are returned, which is always sound.  Cached
+    like _target_tables: named targets have at most six such permutations
+    (the rotations and reflections of C3's triangle)."""
+    classes = {}
+    for a in range(h.n):
+        classes.setdefault((len(h.out_nbrs[a]), len(h.in_nbrs[a])), []).append(a)
+    groups = [c for c in classes.values() if len(c) > 1]
+    if math.prod(map(math.factorial, map(len, groups))) > _ORBIT_CAP:
+        return ()
+    arcs = h.arcs
+    image = list(range(h.n))
+    orbit = [1 << a for a in range(h.n)]
+    for perms in itertools.product(*map(itertools.permutations, groups)):
+        for c, p in zip(groups, perms):
+            for a, b in zip(c, p):
+                image[a] = b
+        if all((image[a], image[b]) in arcs for a, b in arcs):
+            for a in range(h.n):
+                orbit[a] |= 1 << image[a]
+    return tuple(sorted({o for o in orbit if o & (o - 1)}))
 
 
 @functools.lru_cache(maxsize=256)

@@ -225,6 +225,23 @@ def test_3edge_u4_and_lift():
     assert reduce_3edge_to_um(k4, 5).graph.n == 32
 
 
+def test_lift_builds_the_validated_graph_and_validates_once(monkeypatch):
+    # the U4 instance is checked when it is built; the lift adds only
+    # pendant arcs from fresh vertices and builds without a second check
+    for g in (complete_graph(4), complete_bipartite(3, 3), prism_graph()):
+        inst = reduce_3edge_to_u4(g)
+        for m in range(4, 9):
+            lifted = lift_u4_instance(inst, m).graph
+            assert lifted == OrientedGraph(lifted.n, list(lifted.arcs)), (g, m)
+            assert lifted.arcs >= inst.graph.arcs
+            assert all(u >= inst.graph.n > v for u, v in lifted.arcs - inst.graph.arcs)
+    calls = []
+    validate = OrientedGraph._validate
+    monkeypatch.setattr(OrientedGraph, "_validate", lambda self: calls.append(self) or validate(self))
+    lifted = reduce_3edge_to_um(complete_graph(4), 7)
+    assert len(calls) == 1 and calls[0].n < lifted.graph.n
+
+
 def test_3edge_u4_no_instance():
     inst = reduce_3edge_to_u4(bridged_cubic_graph())
     assert not answer(inst)

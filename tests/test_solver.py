@@ -4,6 +4,7 @@ import random
 import pytest
 
 from injhom import solver
+from injhom.chromatic import enumerate_tournaments
 from injhom.gadgets import apex_cycle, equalizer, in_star, selector_cycle
 from injhom.graphs import (
     Mode,
@@ -29,8 +30,9 @@ from injhom.reductions import (
     reduce_3col_to_iot_c3r,
     reduce_3edge_to_t3r,
     reduce_3edge_to_u4,
+    reduce_3edge_to_um,
 )
-from injhom.solver import _Csp, _MaskTable, _neighbourhoods, check_hom, enumerate_homs, solve
+from injhom.solver import _Csp, _MaskTable, _neighbourhoods, _value_orbits, check_hom, enumerate_homs, solve
 from injhom.targets import build_named, u_tournament
 
 C3 = build_named("C3")
@@ -662,6 +664,119 @@ def test_reflexive_input_uses_closed_neighbourhoods():
     t1r = build_named("T1r")
     assert not solve(g, t1r, Mode.IOS).satisfiable
     assert solve(g, T3r, Mode.IOS).satisfiable
+
+
+# --- symmetric values skipped where a failure ends the search ---
+
+
+def random_tournament(k, rng, reflexive=False):
+    arcs = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in itertools.combinations(range(k), 2)]
+    return OrientedGraph(k, arcs, reflexive)
+
+
+def _solve_without_orbits(monkeypatch, g, h, mode, pins=None):
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_value_orbits", lambda h: ())
+        return solve(g, h, mode, pins=pins)
+
+
+def symmetry_corpus():
+    """Seeded decisions against targets with symmetric values: the named
+    targets, random tournaments on three to six vertices, reflexive or
+    not, reflexive inputs, every mode and some pins; then the colouring
+    and edge-colouring instances of K4 and the prism."""
+    rng = random.Random(61)
+    named = [build_named(name) for name in ("C3", "C3r", "T3", "T3r", "U4", "U5r", "U6")]
+    for _ in range(500):
+        if rng.random() < 0.4:
+            h = named[rng.randrange(len(named))]
+        else:
+            h = random_tournament(rng.randint(3, 6), rng, reflexive=rng.random() < 0.5)
+        n = rng.randint(1, 8)
+        g = random_oriented_graph(n, rng, arc_chance=rng.choice((0.2, 0.35, 0.5)))
+        if rng.random() < 0.15:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        pins = {rng.randrange(n): rng.randrange(h.n)} if rng.random() < 0.2 else None
+        yield g, h, MODES[rng.randrange(3)], pins
+    for src in (complete_graph(4), prism_graph()):
+        yield reduce_3col_to_ios_c3r(src).graph, C3r, Mode.IOS, None
+        yield reduce_3col_to_iot_c3r(src).graph, C3r, Mode.IOT, None
+        for m in (4, 6):
+            yield reduce_3edge_to_um(src, m).graph, build_named(f"U{m}"), Mode.IOS, None
+
+
+def test_skipping_symmetric_values_keeps_every_answer(monkeypatch):
+    # the same verdict and witness as the search that tries every value,
+    # in no more nodes
+    saved = 0
+    for g, h, mode, pins in symmetry_corpus():
+        want = _solve_without_orbits(monkeypatch, g, h, mode, pins)
+        res = solve(g, h, mode, pins=pins)
+        assert (res.satisfiable, res.witness) == (want.satisfiable, want.witness), (g, h, mode, pins)
+        assert res.nodes_explored <= want.nodes_explored, (g, h, mode, pins)
+        saved += want.nodes_explored - res.nodes_explored
+        if res.satisfiable:
+            assert check_hom(g, h, res.witness.map, mode), (g, h, mode, pins)
+    assert saved > 0
+
+
+def _orbits_by_brute_force(h):
+    auts = [
+        p for p in itertools.permutations(range(h.n)) if all((p[a], p[b]) in h.arcs for a, b in h.arcs)
+    ]
+    orbits = {frozenset(p[a] for p in auts) for a in range(h.n)}
+    return {orbit for orbit in orbits if len(orbit) > 1}
+
+
+def test_value_orbits_match_every_permutation():
+    targets = [t for k in range(6) for t in enumerate_tournaments(k)]
+    targets += [OrientedGraph(t.n, t.arcs, reflexive=True) for t in targets]
+    targets += [u_tournament(m, reflexive) for m in range(4, 9) for reflexive in (False, True)]
+    # not tournaments: two directed triangles, which the group also swaps
+    targets += [disjoint_union(C3, C3), directed_cycle(4), directed_path(4), edgeless(5)]
+    for h in targets:
+        got = _value_orbits(h)
+        assert list(got) == sorted(got), h
+        assert {frozenset(_bit_indices(orbit)) for orbit in got} == _orbits_by_brute_force(h), h
+    assert _value_orbits(C3r) == (0b111,)
+    assert _value_orbits(edgeless(8)) == ()  # 8! permutations: past the cap
+
+
+def test_k4_colouring_refutations_try_one_value_of_each_orbit():
+    # C3r's automorphisms rotate its triangle, so where a failure ends the
+    # search one value stands for all three: 99 and 477 nodes without
+    for reduce, mode, nodes in ((reduce_3col_to_ios_c3r, Mode.IOS, 33), (reduce_3col_to_iot_c3r, Mode.IOT, 159)):
+        res = solve(reduce(complete_graph(4)).graph, C3r, mode)
+        assert not res.satisfiable and res.nodes_explored == nodes, (mode, res.nodes_explored)
+
+
+def test_no_values_skipped_under_pins(monkeypatch):
+    # a pin breaks the symmetry of the root domains, so every value is
+    # tried; a pin on a value that is not the lowest of its orbit would
+    # otherwise leave its vertex nothing to try
+    for src, sat in ((complete_graph(4), False), (prism_graph(), True)):
+        g = reduce_3col_to_iot_c3r(src).graph
+        for v in (0, 1, g.n - 1):
+            for a in (1, 2):
+                want = _solve_without_orbits(monkeypatch, g, C3r, Mode.IOT, {v: a})
+                res = solve(g, C3r, Mode.IOT, pins={v: a})
+                assert res == want and res.satisfiable == sat, (src, v, a)
+                if sat:
+                    assert res.witness.map[v] == a
+
+
+def test_no_values_skipped_against_two_vertex_targets(monkeypatch):
+    # against two vertices every frame fails back to the root, not only
+    # the root-level ones, so the rule stays off there
+    rng = random.Random(62)
+    for h in (OrientedGraph(2, ()), OrientedGraph(2, (), reflexive=True)):
+        assert _value_orbits(h) == (0b11,)
+        for _ in range(150):
+            g = random_oriented_graph(rng.randint(2, 9), rng, arc_chance=rng.choice((0.1, 0.25)))
+            if rng.random() < 0.5:
+                g = OrientedGraph(g.n, g.arcs, reflexive=True)
+            for mode in MODES:
+                assert solve(g, h, mode) == _solve_without_orbits(monkeypatch, g, h, mode), (g, h, mode)
 
 
 def test_nodes_explored_reported():
