@@ -70,8 +70,9 @@ class OrientedGraph:
     def _checked(cls, n: int, arcs: frozenset, reflexive: bool = False) -> "OrientedGraph":
         """The graph on arcs that the caller has already checked: a
         frozenset of int pairs in range, with no loop and no digon.  The
-        edge-list parser checks its body itself, and disjoint_union joins
-        two valid graphs, so both build here."""
+        edge-list parser checks its body itself, disjoint_union joins two
+        valid graphs, and the reductions join gadgets that are valid
+        graphs, so all three build here."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, arcs=arcs, reflexive=bool(reflexive))
         return g

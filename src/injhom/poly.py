@@ -6,11 +6,17 @@ every input of underlying degree at most 2 to a transfer DP along its
 paths and cycles.  The DP keeps each layer of states as one int bitmask
 and steps a layer through a per-call mask table from mask to next mask,
 so each walk vertex costs one dict lookup once the table has seen its
-mask; the per-state masks it unions are built once per target.  A path
-is walked from all of its start states at once.  A cycle's walk goes on
-through its closing arc and its first arc again, so closing takes two
-more steps of the same walk: the start states are tried in turn, each
-alone, and one works when the last layer holds it.
+mask; the per-state masks it unions are built once per target.  Each
+walk's moves are built and stepped in chunks of doubling size, from all
+of its start states at once, and the walk stops at its first empty
+layer: a no that shows within a few vertices builds and steps only
+those.  That pass is a path's DP, and its witness is traced back through
+it.  A cycle's walk goes on through its closing arc and its first arc
+again, so closing takes two more steps of the same walk.  Its start
+states are tried in turn, each alone, and one works when the last layer
+of its own pass holds it.  The lowest goes first, before the all-states
+pass; after it, only the start states that the all-states pass ends in
+can close, so only those are tried.
 One pass over the arcs fills two flat lists, each vertex's first and
 second walk neighbour (unsorted, -1 for none), and stops at the first
 vertex with a third, so this route builds no list per vertex and no in-,
@@ -30,6 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .graphs import Mode, OrientedGraph
 from .solver import Homomorphism, _MaskTable, _target_tables, solve
@@ -104,11 +111,13 @@ def _component_orders(nbrs):
     from its lower end, a cycle from its lowest vertex towards that
     vertex's lower neighbour.  Only a start vertex's neighbours need an
     order: from any other vertex the walk goes on to the neighbour it did
-    not come from."""
+    not come from.  The scan stops once every vertex with a neighbour has
+    been walked, so the last component marks no vertex as seen."""
     first, second = nbrs
-    seen = [False] * len(first)
+    left = len(first) - first.count(-1)  # vertices with a neighbour, not yet walked
+    seen = None
     for v, a in enumerate(first):
-        if seen[v] or a < 0:
+        if a < 0 or seen is not None and seen[v]:
             continue
         b = second[v]
         if a > b >= 0:
@@ -122,6 +131,12 @@ def _component_orders(nbrs):
             order = behind[::-1] + [v] + ahead
             if order[-1] < order[0]:
                 order.reverse()
+        left -= len(order)
+        if not left:
+            yield is_cycle, order
+            return
+        if seen is None:
+            seen = [False] * len(first)
         for w in order:
             seen[w] = True
         yield is_cycle, order
@@ -158,24 +173,20 @@ def _walk_images(g, nbrs, h, mode):
     for key, (step, back) in tables.items():
         table[key] = memo = _MaskTable(step)
         memo.back = back
+    # moves[before, after]: the move of a walk vertex whose arcs before
+    # and after it point along the walk or not.  Its two neighbours must
+    # take distinct images under iot always, under ios where the walk
+    # turns (both arcs point into or both out of the vertex)
+    moves = {}
+    for before in (True, False):
+        for after in (True, False):
+            differ = mode is Mode.IOT or mode is Mode.IOS and before != after
+            moves[before, after] = table[after, differ]
+    has = g.arcs.__contains__
     assignment = [0] * g.n
     for is_cycle, order in _component_orders(nbrs):
-        ends = order[1:] + order[:1] if is_cycle else order[1:]
-        forwards = list(map(g.arcs.__contains__, zip(order, ends)))
-        # differ[i]: must walk vertex i's two neighbours take distinct
-        # images?  Under ios only where the walk turns (both arcs point
-        # into or both out of the vertex); differ[0] matters for cycles only
-        if mode is Mode.IOT:
-            differ = [True] * len(forwards)
-        elif mode is Mode.IOS:
-            differ = list(map(operator.ne, forwards[-1:] + forwards[:-1], forwards))
-        else:
-            differ = [False] * len(forwards)
-        # moves[i] steps from the images of walk vertices i-1, i to i, i+1;
-        # a cycle's walk closes through its last move and its first
-        moves = list(map(table.__getitem__, zip(forwards, differ)))
-        walk = moves[1:] + moves[:1] if is_cycle else moves[1:]
-        states = _dp(arcs[forwards[0]], walk, is_cycle)
+        first = arcs[has((order[0], order[1]))]
+        states = _dp(first, _walk_moves(order, is_cycle, has, moves), is_cycle)
         if states is None:
             return None
         assignment[order[0]] = states[0] // n
@@ -184,18 +195,46 @@ def _walk_images(g, nbrs, h, mode):
     return assignment
 
 
-def _layers(mask, moves):
-    """The state masks from layer mask on, one more per move; None when
-    some layer is empty."""
-    if not mask:
-        return None
-    layers = [mask]
+_CHUNK = 16  # moves in a walk's first chunk; each later chunk is twice as long
+
+
+def _walk_moves(order, is_cycle, has, moves):
+    """The moves of the walk along order, in chunks of doubling size, so
+    a walk that dies early builds few of them.  Walk vertex i's move
+    steps from the images of walk vertices i-1, i to i, i+1, through
+    moves[before, after] for the arcs on either side of i; has says
+    whether an arc of g points along the walk.  The walk runs from vertex
+    1's move to the last vertex's, and a cycle's goes on through the
+    closing arc and vertex 0's move, back to the first arc."""
+    size = len(order)
+    end = size if is_cycle else size - 1  # walk vertices 1 .. end-1 move
+    first = before = has((order[0], order[1]))
+    i, chunk = 1, _CHUNK
+    while i < end:
+        j = min(i + chunk, end)
+        ends = order[i + 1:j + 1]
+        if j == size:
+            ends.append(order[0])
+        forwards = list(map(has, zip(order[i:j], ends)))
+        batch = list(map(moves.__getitem__, zip(chain((before,), forwards), forwards)))
+        before = forwards[-1]
+        if j == size:
+            batch.append(moves[before, first])
+        yield batch
+        i, chunk = j, 2 * chunk
+
+
+def _step(layers, moves) -> bool:
+    """Step the last of layers through moves, appending a mask per move;
+    False at the first empty one."""
+    mask = layers[-1]
+    append = layers.append
     for move in moves:
         mask = move[mask]
         if not mask:
-            return None
-        layers.append(mask)
-    return layers
+            return False
+        append(mask)
+    return True
 
 
 def _trace_back(layers, moves, s) -> list:
@@ -210,21 +249,46 @@ def _trace_back(layers, moves, s) -> list:
     return states
 
 
-def _dp(first, walk, closed):
-    """The states of a walk from first through the moves of walk, or
-    None.  A closed walk must end in the state it starts from; each start
-    state's pass runs over the masks that earlier passes left."""
-    if not closed:
-        layers = _layers(first, walk)
-        if layers is None:
+def _dp(first, chunks, closed):
+    """The states of a walk from first through the moves that chunks
+    yields, or None.  A walk from all of first's states at once stops at
+    its first empty layer: then no walk works.  A path's witness is traced
+    back through that walk's layers.  A closed walk must end in the state
+    it starts from, and its start states are tried in turn, each alone,
+    over the masks that earlier passes left.  The lowest is walked before
+    the all-states walk, so a cycle that closes from it takes one pass; a
+    start state's own walk ends inside the all-states walk's last layer,
+    so only the start states in that layer are tried after it."""
+    if not first:
+        return None
+    walk = []
+    tried = 0
+    if closed:
+        tried = first & -first
+        layers = [tried]
+        for moves in chunks:
+            walk += moves
+            if not _step(layers, moves):
+                break
+        else:
+            if layers[-1] & tried:
+                return _trace_back(layers, walk, tried.bit_length() - 1)
+    layers = [first]
+    if not _step(layers, walk):
+        return None
+    for moves in chunks:
+        walk += moves
+        if not _step(layers, moves):
             return None
-        last = layers[-1]
+    last = layers[-1]
+    if not closed:
         return _trace_back(layers, walk, (last & -last).bit_length() - 1)
-    while first:
-        start = first & -first
-        first ^= start
-        layers = _layers(start, walk)
-        if layers is not None and layers[-1] & start:
+    starts = first & last & ~tried
+    while starts:
+        start = starts & -starts
+        starts ^= start
+        layers = [start]
+        if _step(layers, walk) and layers[-1] & start:
             return _trace_back(layers, walk, start.bit_length() - 1)
     return None
 

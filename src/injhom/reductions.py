@@ -179,7 +179,11 @@ class _Builder:
         self.arcs.append((u, v))
 
     def instance(self, source_kind: str, target: str, mode: Mode) -> ReductionInstance:
-        return ReductionInstance(OrientedGraph(self.n, self.arcs), self.prov, source_kind, target, mode)
+        # each block's arcs are a valid graph's, shifted onto fresh
+        # vertices, and each link joins two blocks along an edge or arc of
+        # the valid source graph: no loop, digon or vertex out of range
+        graph = OrientedGraph._checked(self.n, frozenset(self.arcs))
+        return ReductionInstance(graph, self.prov, source_kind, target, mode)
 
 
 def reduce_3col_to_ios_c3r(g: SimpleGraph) -> ReductionInstance:
@@ -330,8 +334,8 @@ def lift_u4_instance(inst: ReductionInstance, m: int) -> ReductionInstance:
             table[f"pend{p + 1}"] = n
             pendants.append((n, x))
             n += 1
-    # the U4 instance was checked when it was built, and each pendant arc
-    # joins a fresh vertex to an old one: no loop, repeat or digon
+    # the U4 instance is a valid graph, and each pendant arc joins a
+    # fresh vertex to an old one: no loop, repeat or digon
     lifted = OrientedGraph._checked(n, inst.graph.arcs.union(pendants))
     return ReductionInstance(lifted, prov, inst.source_kind, f"U{m}", inst.mode)
 

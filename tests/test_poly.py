@@ -294,6 +294,7 @@ def _ref_walk_away(nbrs, start, cur):
 def test_unsorted_walk_matches_sorted_reference(monkeypatch):
     rng = random.Random(1010)
     walk_orders = poly._component_orders
+    swapped = []
     targets = ("T3", "C3", "T2r", "U4", "C3r")
     for trial in range(60):
         g = _paths_and_cycles(rng, rng.choice((12, 60, 200)), 40, ("directed", "anti", "random"))
@@ -306,8 +307,162 @@ def test_unsorted_walk_matches_sorted_reference(monkeypatch):
         for target in targets:
             for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
                 got = decide_poly(g, target, mode)
-                monkeypatch.setattr(poly, "_component_orders", lambda _: iter(want))
+                monkeypatch.setattr(poly, "_component_orders", lambda _: swapped.append(1) or iter(want))
                 ref = decide_poly(g, target, mode)
                 monkeypatch.setattr(poly, "_component_orders", walk_orders)
                 assert got == ref, (trial, target, mode)
 
+    assert swapped, "the reference orders never reached decide_poly"
+
+
+# --- the streamed DP against the whole-walk DP it replaced ---
+
+
+def _ref_walk_images(g, h, mode, tries=None):
+    """The DP as it was before its walks were streamed: every component's
+    move list is built whole before a layer is stepped, a path is walked
+    from all of its start states at once, and a cycle's start states are
+    each walked alone, lowest first.  tries collects, per cycle, how many
+    start states were walked."""
+    n = h.n
+    if g.n and n == 0:
+        return None
+    arcs, tables = poly._tables(h)
+    table = {}
+    for key, (step, back) in tables.items():
+        table[key] = memo = poly._MaskTable(step)
+        memo.back = back
+    assignment = [0] * g.n
+    for is_cycle, order in _ref_component_orders(g):
+        ends = order[1:] + order[:1] if is_cycle else order[1:]
+        forwards = [(u, v) in g.arcs for u, v in zip(order, ends)]
+        if mode is Mode.IOT:
+            differ = [True] * len(forwards)
+        elif mode is Mode.IOS:
+            differ = [a != b for a, b in zip(forwards[-1:] + forwards[:-1], forwards)]
+        else:
+            differ = [False] * len(forwards)
+        moves = [table[key] for key in zip(forwards, differ)]
+        walk = moves[1:] + moves[:1] if is_cycle else moves[1:]
+        states = _ref_dp(arcs[forwards[0]], walk, is_cycle, tries)
+        if states is None:
+            return None
+        assignment[order[0]] = states[0] // n
+        for v, s in zip(order[1:], states):
+            assignment[v] = s % n
+    return assignment
+
+
+def _ref_layers(mask, moves):
+    if not mask:
+        return None
+    layers = [mask]
+    for move in moves:
+        mask = move[mask]
+        if not mask:
+            return None
+        layers.append(mask)
+    return layers
+
+
+def _ref_trace_back(layers, moves, s):
+    states = [s]
+    for layer, move in zip(reversed(layers[:-1]), reversed(moves)):
+        before = layer & move.back[s]
+        s = (before & -before).bit_length() - 1
+        states.append(s)
+    states.reverse()
+    return states
+
+
+def _ref_dp(first, walk, closed, tries):
+    if not closed:
+        layers = _ref_layers(first, walk)
+        if layers is None:
+            return None
+        last = layers[-1]
+        return _ref_trace_back(layers, walk, (last & -last).bit_length() - 1)
+    tried = 0
+    states = None
+    while first and states is None:
+        start = first & -first
+        first ^= start
+        tried += 1
+        layers = _ref_layers(start, walk)
+        if layers is not None and layers[-1] & start:
+            states = _ref_trace_back(layers, walk, start.bit_length() - 1)
+    if tries is not None:
+        tries.append((tried, states is not None))
+    return states
+
+
+NAMED = ("T1", "T2", "C3", "T3", "T1r", "T2r", "C3r", "T3r",
+         "U4", "U5", "U6", "U4r", "U5r", "U6r")
+
+
+def test_streamed_dp_matches_whole_walk_reference():
+    rng = random.Random(2210)
+    tries = []
+    inner_starts = 0
+    for trial in range(45):
+        kinds = (("random",), ("directed",), ("anti",), ("directed", "anti", "random"))[trial % 4]
+        g = _paths_and_cycles(rng, rng.choice((8, 24, 48)), 16, kinds)
+        for is_cycle, order in _ref_component_orders(g):
+            inner_starts += not is_cycle and min(order) not in (order[0], order[-1])
+        for name in NAMED:
+            h = build_named(name)
+            for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
+                got = decide_poly(g, name, mode)
+                want = _ref_walk_images(g, h, mode, tries)
+                assert got.algorithm in ("degree2-dp", poly._LABELS.get((name, mode)))
+                assert got.satisfiable == (want is not None), (trial, name, mode)
+                if want is not None:
+                    assert got.witness.map == tuple(want), (trial, name, mode)
+    # the walk scan met paths whose lowest vertex lies inside them, cycles
+    # that closed only from a later start state, and cycles whose every
+    # start state was walked in vain
+    assert inner_starts > 10
+    assert sum(1 for tried, closed in tries if closed and tried > 1) > 10
+    assert sum(1 for tried, closed in tries if not closed and tried > 1) > 10
+
+
+def _counting_walks(monkeypatch):
+    """Count the moves the DP builds and the layer steps it takes through
+    its mask tables."""
+    built, steps = [], []
+    walk_moves = poly._walk_moves
+
+    def counted(*args):
+        for moves in walk_moves(*args):
+            built.extend(moves)
+            yield moves
+
+    class Counting(poly._MaskTable):
+        def __getitem__(self, mask):
+            steps.append(mask)
+            return super().__getitem__(mask)
+
+    monkeypatch.setattr(poly, "_walk_moves", counted)
+    monkeypatch.setattr(poly, "_MaskTable", Counting)
+    return built, steps
+
+
+def test_early_no_builds_and_steps_a_bounded_prefix(monkeypatch):
+    # a source with two out-neighbours cannot map ios-injectively into C3,
+    # whose vertices have one out-neighbour each; a directed walk can
+    n = 10**5
+    built, steps = _counting_walks(monkeypatch)
+    head = OrientedGraph(n, [(1, 0), (1, 2)] + [(i, i + 1) for i in range(2, n - 1)])
+    loop = OrientedGraph(n, [(0, 1), (2, 1)] + [(i, (i + 1) % n) for i in range(2, n)])
+    for g in (head, loop):
+        built.clear()
+        steps.clear()
+        assert not decide_poly(g, "C3", Mode.IOS).satisfiable
+        assert 0 < len(steps) <= len(built) <= 64  # of n - 2 or n moves
+    # at the far end of the walk, the sink n-3 in front of the source
+    # n-1 stops the walk only at its own move, the last but one
+    tail = OrientedGraph(n, [(i, i + 1) for i in range(n - 3)] + [(n - 1, n - 2), (n - 1, n - 3)])
+    built.clear()
+    steps.clear()
+    assert not decide_poly(tail, "C3", Mode.IOS).satisfiable
+    assert (len(built), len(steps)) == (n - 2, n - 3)

@@ -225,21 +225,54 @@ def test_3edge_u4_and_lift():
     assert reduce_3edge_to_um(k4, 5).graph.n == 32
 
 
-def test_lift_builds_the_validated_graph_and_validates_once(monkeypatch):
-    # the U4 instance is checked when it is built; the lift adds only
-    # pendant arcs from fresh vertices and builds without a second check
+def _every_reduction():
+    """An instance of every reduction kind over this file's sources."""
+    rng = random.Random(5)
+    for g in (complete_graph(4), complete_bipartite(3, 3), prism_graph()):
+        yield reduce_3col_to_ios_c3r(g)
+        yield reduce_3col_to_ios_c3r(with_random_edge_order(g, rng))
+    for g in (complete_graph(4), complete_bipartite(3, 3), prism_graph(), bridged_cubic_graph()):
+        for mode in (Mode.IOS, Mode.IOT):
+            yield reduce_3edge_to_t3r(g, mode)
+        for m in range(4, 9):
+            yield reduce_3edge_to_um(g, m)
+    for g in (complete_graph(3), complete_graph(4), cycle_graph(5)):
+        yield reduce_3col_to_iot_c3r(g)
+    for g in all_oriented_graphs(3):
+        for m in (4, 5, 7):
+            yield reduce_ios_c3r_to_umr(g, m)
+            yield reduce_iot_c3r_to_umr(g, m)
+
+
+def test_reductions_build_the_validated_graph_without_validating(monkeypatch):
+    # every instance is built from gadgets that are valid graphs and equals
+    # the graph that the checking constructor builds from its arcs
+    kinds = set()
+    for inst in _every_reduction():
+        graph = inst.graph
+        assert type(graph.arcs) is frozenset
+        assert graph == OrientedGraph(graph.n, list(graph.arcs)), (inst.source_kind, inst.target)
+        kinds.add((inst.source_kind, inst.target[0], inst.mode))
+    assert len(kinds) == 7
+    # a lift adds only pendant arcs from fresh vertices to old ones
     for g in (complete_graph(4), complete_bipartite(3, 3), prism_graph()):
         inst = reduce_3edge_to_u4(g)
         for m in range(4, 9):
             lifted = lift_u4_instance(inst, m).graph
-            assert lifted == OrientedGraph(lifted.n, list(lifted.arcs)), (g, m)
             assert lifted.arcs >= inst.graph.arcs
             assert all(u >= inst.graph.n > v for u, v in lifted.arcs - inst.graph.arcs)
+    # so no reduction checks an instance's arcs again; only the gadgets it
+    # builds on the way, each a graph smaller than the instance, are checked
+    k4, c3 = complete_graph(4), directed_cycle(3)
     calls = []
     validate = OrientedGraph._validate
-    monkeypatch.setattr(OrientedGraph, "_validate", lambda self: calls.append(self) or validate(self))
-    lifted = reduce_3edge_to_um(complete_graph(4), 7)
-    assert len(calls) == 1 and calls[0].n < lifted.graph.n
+    monkeypatch.setattr(OrientedGraph, "_validate", lambda self: calls.append(self.n) or validate(self))
+    for build in (lambda: reduce_3col_to_ios_c3r(k4), lambda: reduce_3col_to_iot_c3r(k4),
+                  lambda: reduce_3edge_to_t3r(k4), lambda: reduce_3edge_to_um(k4, 7),
+                  lambda: reduce_ios_c3r_to_umr(c3, 5), lambda: reduce_iot_c3r_to_umr(c3, 5)):
+        calls.clear()
+        n = build().graph.n
+        assert all(size < n for size in calls), (n, calls)
 
 
 def test_3edge_u4_no_instance():
