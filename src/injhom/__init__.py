@@ -6,6 +6,7 @@ numbers."""
 from .chromatic import (
     ChiCapError,
     ChiResult,
+    canonical_flavour,
     canonical_tournament_key,
     check_Um_forcing,
     chi,
@@ -47,7 +48,6 @@ from .poly import PolyVerdict, decide_poly
 from .reductions import (
     ReductionInstance,
     SimpleGraph,
-    canonical_flavour,
     colouring_instance,
     complete_bipartite,
     complete_graph,

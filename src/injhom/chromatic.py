@@ -3,7 +3,8 @@
 A flavour-k-colouring of an oriented graph is a homomorphism, injective
 in the flavour's sense, to some tournament on k vertices (reflexive for
 the improper flavours, loopless for the proper one).  The chromatic
-number is the least such k.
+number is the least such k.  FLAVOURS is the one table of flavours:
+the colouring wrapper in reductions reads it too.
 
 Such a homomorphism is exactly a colouring with k colours in which all
 arcs between two colour classes point the same way (Sopena, "Oriented
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Mode, OrientedGraph, is_tournament
-from .reductions import canonical_flavour
 from .solver import _neighbourhoods, check_hom, enumerate_homs
 from .solver import solve  # noqa: F401  perfbench/spans.py wraps chromatic.solve
 
@@ -93,16 +93,28 @@ class ChiResult:
     witness: tuple
 
 
-_FLAVOUR_SETTINGS = {
+# canonical flavour name -> (mode, are the target tournaments reflexive?)
+FLAVOURS = {
     "proper-ios": (Mode.IOS, False),
     "improper-ios": (Mode.IOS, True),
     "improper-iot": (Mode.IOT, True),
 }
 
 
+def canonical_flavour(text: str) -> str:
+    """The canonical name of a flavour, given in any case and with its
+    two words in either order (ios-proper for proper-ios)."""
+    name = str(text).lower()
+    first, _, second = name.partition("-")
+    for candidate in (name, f"{second}-{first}"):
+        if candidate in FLAVOURS:
+            return candidate
+    raise ValueError(f"unknown flavour {text!r}; expected proper-ios, improper-ios or improper-iot")
+
+
 def flavour_settings(flavour: str):
-    """(mode, targets reflexive?) for a canonical flavour name."""
-    return _FLAVOUR_SETTINGS[canonical_flavour(flavour)]
+    """(mode, targets reflexive?) for a flavour name."""
+    return FLAVOURS[canonical_flavour(flavour)]
 
 
 def chi(g: OrientedGraph, flavour: str) -> ChiResult:

@@ -12,7 +12,7 @@ import itertools
 import operator
 import sys
 
-from .chromatic import ChiCapError, chi
+from .chromatic import FLAVOURS, ChiCapError, chi
 from .fileformat import (
     EdgeListError,
     format_edge_list,
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="injective oriented chromatic number")
     p.add_argument("input")
-    p.add_argument("flavour", help="proper-ios | improper-ios | improper-iot")
+    p.add_argument("flavour", help=" | ".join(FLAVOURS))
     p.set_defaults(fn=_cmd_chi)
 
     p = sub.add_parser("verify", help="run a named property suite")

@@ -53,11 +53,12 @@ class PolyVerdict:
 # --- transfer DP over components of underlying degree <= 2 ---
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _tables(h: OrientedGraph) -> tuple:
     """The DP's state tables for target h, shared by every call against
-    an equal target.  A state a * h.n + b says that two consecutive walk
-    vertices take images a, b; a layer is the mask of its states.
+    an equal target and kept for the last eight targets (U100's alone
+    take about 53 MB).  A state a * h.n + b says that two consecutive
+    walk vertices take images a, b; a layer is the mask of its states.
 
     arcs[f] is the mask of the states an arc allows, walked forwards
     (f true: a -> b) or backwards.  moves[f, d] is the (step, back) pair

@@ -5,6 +5,9 @@ Each reducer consumes a SimpleGraph and emits a ReductionInstance: the
 transformed oriented graph, the target/mode it is meant to be solved
 against, and a provenance table that partitions the new vertex set among
 the source objects (one entry per source vertex and per source edge).
+Gadgets are placed whole through one builder, which can glue a gadget's
+ports onto vertices already placed.  colouring_instance wraps a graph
+for a colouring flavour; the flavours are defined in chromatic.FLAVOURS.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .chromatic import FLAVOURS, canonical_flavour
 from .gadgets import antidirected_cycle, apex_cycle, equalizer, in_star, selector_cycle
 from .graphs import MAX_VERTICES, Mode, OrientedGraph, disjoint_union
 from .targets import build_named, check_u_size
@@ -164,24 +168,33 @@ class _Builder:
         self.n = 0
         self.prov = {}
 
-    def block(self, key, size: int, roles: dict, arcs) -> dict:
-        """Add `size` fresh vertices under provenance `key`; `roles` and
-        `arcs` use block-local indices.  Returns local->global map."""
-        _check_size(self.n + size)
+    def block(self, key, size: int, roles: dict, arcs, glue=None) -> dict:
+        """Add a block of `size` vertices under provenance `key`; `roles`
+        and `arcs` use block-local indices.  `glue` maps block-local
+        vertices to vertices already placed: those get no fresh number
+        and no role, and the others are numbered in local order.
+        Returns the role->global table."""
+        glue = glue or {}
         base = self.n
-        self.n += size
-        table = {name: base + idx for name, idx in roles.items()}
+        fresh = size - len(glue)
+        _check_size(base + fresh)
+        self.n += fresh
+        place = list(range(base, self.n))
+        for v in sorted(glue):
+            place.insert(v, glue[v])
+        table = {name: place[idx] for name, idx in roles.items() if idx not in glue}
         self.prov[key] = table
-        self.arcs.extend((base + u, base + v) for u, v in arcs)
+        self.arcs.extend((place[u], place[v]) for u, v in arcs)
         return table
 
     def arc(self, u: int, v: int) -> None:
         self.arcs.append((u, v))
 
     def instance(self, source_kind: str, target: str, mode: Mode) -> ReductionInstance:
-        # each block's arcs are a valid graph's, shifted onto fresh
-        # vertices, and each link joins two blocks along an edge or arc of
-        # the valid source graph: no loop, digon or vertex out of range
+        # each block's arcs are a valid graph's, placed one-to-one on fresh
+        # vertices and on glued ones no block joins to each other, and each
+        # link joins two blocks along an edge or arc of the valid source
+        # graph: no loop, digon or vertex out of range
         graph = OrientedGraph._checked(self.n, frozenset(self.arcs))
         return ReductionInstance(graph, self.prov, source_kind, target, mode)
 
@@ -234,26 +247,13 @@ def reduce_3edge_to_t3r(g: SimpleGraph, mode: Mode = Mode.IOS) -> ReductionInsta
     for x in range(g.n):
         b.block(("vertex", x), star.graph.n, star.roles, star.graph.arcs)
     eq = equalizer()
-    port_u, port_v = eq.roles["u"], eq.roles["v"]
-    interior = [w for w in range(eq.graph.n) if w not in (port_u, port_v)]
-    local = {w: idx for idx, w in enumerate(interior)}
-    roles = {f"f{w}": local[w] for w in interior}
-    inner_arcs = [
-        (local[a], local[c]) for a, c in eq.graph.arcs if a in local and c in local
-    ]
-    port_arcs = [(a, c) for a, c in eq.graph.arcs if a not in local or c not in local]
+    u, v = eq.roles["u"], eq.roles["v"]
+    roles = {f"f{w}": w for w in range(eq.graph.n)}
     for x, y in sorted(g.edges):
-        table = b.block(("edge", (x, y)), len(interior), roles, inner_arcs)
         i = g.edge_index(x, (x, y))
         j = g.edge_index(y, (x, y))
-        glue = {
-            port_u: b.prov[("vertex", x)][f"leaf{i}"],
-            port_v: b.prov[("vertex", y)][f"leaf{j}"],
-        }
-        for a, c in port_arcs:
-            ga = glue.get(a, table.get(f"f{a}"))
-            gc = glue.get(c, table.get(f"f{c}"))
-            b.arc(ga, gc)
+        glue = {u: b.prov[("vertex", x)][f"leaf{i}"], v: b.prov[("vertex", y)][f"leaf{j}"]}
+        b.block(("edge", (x, y)), eq.graph.n, roles, eq.graph.arcs, glue)
     return b.instance("cubic-3-edge-colouring", "T3r", mode)
 
 
@@ -398,23 +398,6 @@ def reduce_iot_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
     return b.instance("iot-C3r", f"U{m}r", Mode.IOT)
 
 
-_FLAVOURS = {
-    "proper-ios": "proper-ios",
-    "ios-proper": "proper-ios",
-    "improper-ios": "improper-ios",
-    "ios-improper": "improper-ios",
-    "improper-iot": "improper-iot",
-    "iot-improper": "improper-iot",
-}
-
-
-def canonical_flavour(text: str) -> str:
-    try:
-        return _FLAVOURS[str(text).lower()]
-    except KeyError:
-        raise ValueError(f"unknown flavour {text!r}; expected proper-ios, improper-ios or improper-iot") from None
-
-
 def colouring_instance(g: OrientedGraph, k: int, flavour: str):
     """Wrap g so a single homomorphism question answers whether the
     WRAPPED graph admits a flavour k-colouring (which in turn equals
@@ -425,13 +408,13 @@ def colouring_instance(g: OrientedGraph, k: int, flavour: str):
     answered directly by the chromatic module instead.
     """
     flavour = canonical_flavour(flavour)
+    mode, reflexive = FLAVOURS[flavour]
     if g.reflexive:
         raise ValueError("input must be irreflexive")
-    if flavour == "proper-ios":
+    if not reflexive:
         if k < 4:
-            raise ValueError("proper-ios wrapping needs k >= 4")
-        return disjoint_union(g, build_named(f"U{k}")), f"U{k}", Mode.IOS
-    mode = Mode.IOS if flavour == "improper-ios" else Mode.IOT
+            raise ValueError(f"{flavour} wrapping needs k >= 4")
+        return disjoint_union(g, build_named(f"U{k}")), f"U{k}", mode
     if k == 3:
         return disjoint_union(g, apex_cycle(6).graph), "C3r", mode
     if k >= 4:
@@ -468,8 +451,8 @@ def oracle_k_colouring(g: SimpleGraph, k: int):
     return list(colours) if place(0, 0) else None
 
 
-def oracle_3col(g: SimpleGraph, k: int = 3) -> bool:
-    return oracle_k_colouring(g, k) is not None
+def oracle_3col(g: SimpleGraph) -> bool:
+    return oracle_k_colouring(g, 3) is not None
 
 
 def oracle_3edge(g: SimpleGraph) -> bool:

@@ -80,9 +80,20 @@ def test_catalogue_cap():
 
 
 def test_flavour_settings():
-    assert flavour_settings("proper-ios") == (Mode.IOS, False)
-    assert flavour_settings("improper-ios") == (Mode.IOS, True)
-    assert flavour_settings("iot-improper") == (Mode.IOT, True)
+    # every case, with the two words in either order
+    want = {
+        "proper-ios": (Mode.IOS, False),
+        "improper-ios": (Mode.IOS, True),
+        "improper-iot": (Mode.IOT, True),
+    }
+    for name, settings in want.items():
+        first, second = name.split("-")
+        for text in (name, f"{second}-{first}"):
+            for spelling in (text, text.upper(), text.title(), text.title().swapcase()):
+                assert flavour_settings(spelling) == settings, spelling
+    for text in ("proper-iot", "iot-proper", "rainbow"):
+        with pytest.raises(ValueError, match="unknown flavour"):
+            flavour_settings(text)
 
 
 def test_chi_edgeless():

@@ -396,6 +396,11 @@ def test_well_formed_files_never_reach_the_line_loop(tmp_path, monkeypatch, caps
     src.write_text(format_undirected_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
     out = tmp_path / "k4-t3r.txt"
     assert main(["reduce", "3edge-to-t3r", str(src), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote 244 vertices / 300 arcs to {out}",
+        f"provenance: {out}.prov",
+        "target: T3r  mode: ios",
+    ]
     monkeypatch.setattr(fileformat, "_parse_body", no_line_loop)
     assert parse_edge_list(format_edge_list(g, comments=["a directed 5-cycle", "", "k = 3"])) == g
     assert parse_edge_list(format_edge_list(g)) == g

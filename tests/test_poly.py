@@ -254,6 +254,14 @@ def test_dp_tables_built_once_per_target():
     assert all(type(pair) is tuple for pair in first[1].values())
 
 
+def test_dp_tables_held_for_at_most_eight_targets():
+    poly._tables.cache_clear()
+    for m in range(4, 16):
+        assert decide_poly(directed_path(5), f"U{m}", Mode.IOS).algorithm == "degree2-dp"
+    info = poly._tables.cache_info()
+    assert info.misses == 12 and info.currsize <= 8
+
+
 # --- the walk over unsorted flat neighbour lists against the sorted walk ---
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from injhom.chromatic import FLAVOURS, canonical_flavour, flavour_settings
 from injhom.graphs import (
     Mode,
     OrientedGraph,
@@ -13,7 +14,6 @@ from injhom.graphs import (
 from injhom.reductions import (
     SimpleGraph,
     bridged_cubic_graph,
-    canonical_flavour,
     colouring_instance,
     complete_bipartite,
     complete_graph,
@@ -347,11 +347,30 @@ def test_umr_transfer_validation():
 
 
 def test_canonical_flavour_spellings():
-    assert canonical_flavour("Proper-IOS") == "proper-ios"
-    assert canonical_flavour("ios-proper") == "proper-ios"
-    assert canonical_flavour("iot-improper") == "improper-iot"
-    with pytest.raises(ValueError):
-        canonical_flavour("rainbow")
+    # every case, with the two words in either order, names the flavour
+    # and wraps a graph as its canonical name does
+    g = directed_cycle(3)
+
+    def recipes(flavour):
+        out = []
+        for k in range(1, 8):
+            try:
+                out.append(colouring_instance(g, k, flavour))
+            except ValueError as err:
+                out.append(str(err))
+        return out
+
+    assert set(FLAVOURS) == {"proper-ios", "improper-ios", "improper-iot"}
+    for name in FLAVOURS:
+        first, second = name.split("-")
+        for text in (name, f"{second}-{first}"):
+            for spelling in (text, text.upper(), text.title(), text.title().swapcase()):
+                assert canonical_flavour(spelling) == name, spelling
+                assert flavour_settings(spelling) == flavour_settings(name), spelling
+                assert recipes(spelling) == recipes(name), spelling
+    for text in ("proper-iot", "iot-proper", "rainbow"):
+        with pytest.raises(ValueError, match="unknown flavour"):
+            canonical_flavour(text)
 
 
 def test_colouring_instance_recipes():
