@@ -33,11 +33,8 @@ GRAPHS = [
 
 
 def verdict_for(g, name, mode):
-    poly = decide_poly(g, name, mode)
-    if poly is not None:
-        return poly.satisfiable, poly.algorithm
-    res = solve(g, build_named(name), mode)
-    return res.satisfiable, "backtracking"
+    verdict = decide_poly(g, name, mode) or solve(g, build_named(name), mode)
+    return verdict.satisfiable, verdict.algorithm
 
 
 def main():

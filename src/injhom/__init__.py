@@ -44,7 +44,7 @@ from .graphs import (
     random_oriented_graph,
     transitive_tournament,
 )
-from .poly import PolyVerdict, decide_poly
+from .poly import decide_poly
 from .reductions import (
     ReductionInstance,
     SimpleGraph,
@@ -77,7 +77,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChiCapError", "ChiResult", "EdgeListError", "GADGET_BUILDERS", "Gadget",
-    "Homomorphism", "Mode", "OrientedGraph", "PolyVerdict", "ReductionInstance",
+    "Homomorphism", "Mode", "OrientedGraph", "ReductionInstance",
     "SUITES", "SimpleGraph", "SolveResult", "TargetSpec",
     "all_oriented_graphs", "antidirected_cycle", "apex_cycle", "build_named",
     "canonical_flavour", "canonical_tournament_key", "check_Um_forcing",

@@ -66,21 +66,12 @@ def _cmd_decide(args) -> int:
     g = _read_graph(args.input)
     spec = _resolve_target(args.target)
     mode = Mode.parse(args.mode)
-    verdict = decide_poly(g, spec, mode)
-    if verdict is not None:
-        algorithm = verdict.algorithm
-        sat = verdict.satisfiable
-        witness = verdict.witness.map if verdict.witness else None
-    else:
-        algorithm = "backtracking"
-        res = solve(g, spec.build(), mode)
-        sat = res.satisfiable
-        witness = res.witness.map if res.witness else None
-    print("YES" if sat else "NO")
-    print(f"algorithm: {algorithm}")
-    if sat and witness is not None:
-        _write_map(witness, target_labels(spec))
-    return 0 if sat else 1
+    verdict = decide_poly(g, spec, mode) or solve(g, spec.build(), mode)
+    print("YES" if verdict.satisfiable else "NO")
+    print(f"algorithm: {verdict.algorithm}")
+    if verdict.witness:
+        _write_map(verdict.witness.map, target_labels(spec))
+    return 0 if verdict.satisfiable else 1
 
 
 def _parse_pins(spec: TargetSpec, texts) -> dict:

@@ -29,25 +29,22 @@ propagation, and it never retries a decision that propagated cleanly.
 Everything else -- the reflexive triangle, T3r, the whole U family,
 custom targets, plain mode and reflexive inputs -- is left to the
 search (None).  Every yes answer carries a witness.
+
+An answer is a solver.SolveResult, as the search's are, with its
+algorithm label; the DP and the degree rule report 0 nodes, and the
+T2r ios route keeps the search's own count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 from .graphs import Mode, OrientedGraph
-from .solver import Homomorphism, _MaskTable, _target_tables, solve
+from .solver import Homomorphism, SolveResult, _MaskTable, _target_tables, solve
 from .targets import TargetSpec
-
-
-@dataclass
-class PolyVerdict:
-    satisfiable: bool
-    witness: Homomorphism | None
-    algorithm: str
 
 
 # --- transfer DP over components of underlying degree <= 2 ---
@@ -318,8 +315,8 @@ _LABELS = {
 
 
 def decide_poly(g: OrientedGraph, target, mode: Mode):
-    """Decide by the polynomial route, or return None to leave g to the
-    search.
+    """Decide by the polynomial route as a SolveResult, or return None
+    to leave g to the search.
 
     Reflexive inputs are left to the search.  An input of underlying
     degree at most 2 goes to the transfer DP, against any target.  A
@@ -336,10 +333,9 @@ def decide_poly(g: OrientedGraph, target, mode: Mode):
     if nbrs is not None:
         images = _walk_images(g, nbrs, spec.build(), mode)
         witness = Homomorphism(tuple(images), mode) if images is not None else None
-        return PolyVerdict(images is not None, witness, label or "degree2-dp")
+        return SolveResult(images is not None, witness, algorithm=label or "degree2-dp")
     if label is None:
         return None
     if (spec.name, mode) != ("T2r", Mode.IOS):
-        return PolyVerdict(False, None, label)
-    res = solve(g, spec.build(), mode)
-    return PolyVerdict(res.satisfiable, res.witness, label)
+        return SolveResult(False, None, algorithm=label)
+    return dataclasses.replace(solve(g, spec.build(), mode), algorithm=label)

@@ -6,8 +6,10 @@ transformed oriented graph, the target/mode it is meant to be solved
 against, and a provenance table that partitions the new vertex set among
 the source objects (one entry per source vertex and per source edge).
 Gadgets are placed whole through one builder, which can glue a gadget's
-ports onto vertices already placed.  colouring_instance wraps a graph
-for a colouring flavour; the flavours are defined in chromatic.FLAVOURS.
+ports onto vertices already placed: each edge gadget joins its
+endpoints' gadgets through two ports glued to their port vertices.
+colouring_instance wraps a graph for a colouring flavour; the flavours
+are defined in chromatic.FLAVOURS.
 """
 
 from __future__ import annotations
@@ -218,14 +220,13 @@ def reduce_3col_to_ios_c3r(g: SimpleGraph) -> ReductionInstance:
     for x in range(g.n):
         gad = selectors[g.degree(x)]
         b.block(("vertex", x), gad.graph.n, gad.roles, gad.graph.arcs)
+    # a -> m <- b, fed by ports 3 -> a and 4 -> b glued to the links
+    bridge = {"a": 0, "m": 1, "b": 2}, [(0, 1), (2, 1), (3, 0), (4, 2)]
     for w, z in sorted(g.edges):
-        table = b.block(
-            ("edge", (w, z)), 3, {"a": 0, "m": 1, "b": 2}, [(0, 1), (2, 1)]
-        )
         i = g.edge_index(w, (w, z))
         j = g.edge_index(z, (w, z))
-        b.arc(b.prov[("vertex", w)][f"n{i}"], table["a"])
-        b.arc(b.prov[("vertex", z)][f"n{j}"], table["b"])
+        glue = {3: b.prov[("vertex", w)][f"n{i}"], 4: b.prov[("vertex", z)][f"n{j}"]}
+        b.block(("edge", (w, z)), 5, *bridge, glue)
     return b.instance("vertex-3-colouring", "C3r", Mode.IOS)
 
 
@@ -280,14 +281,14 @@ def reduce_3col_to_iot_c3r(g: SimpleGraph) -> ReductionInstance:
             roles = {f"x{k}": (k + 1) % size for k in range(size)}
             cycles[size] = roles, antidirected_cycle(size).graph.arcs
         b.block(("vertex", x), size, *cycles[size])
+    # mid0 -> apex <- mid1, reached from ports 3 -> mid0 and 4 -> mid1
+    paths = {"mid0": 0, "mid1": 1, "apex": 2}, [(0, 2), (1, 2), (3, 0), (4, 1)]
     for x, y in sorted(g.edges):
-        table = b.block(
-            ("edge", (x, y)), 3, {"mid0": 0, "mid1": 1, "apex": 2}, [(0, 2), (1, 2)]
-        )
         i = g.edge_index(x, (x, y))
         j = g.edge_index(y, (x, y))
-        b.arc(b.prov[("vertex", x)][f"x{6 * (i - 1)}"], table["mid0"])
-        b.arc(b.prov[("vertex", y)][f"x{6 * (j - 1)}"], table["mid1"])
+        glue = {3: b.prov[("vertex", x)][f"x{6 * (i - 1)}"],
+                4: b.prov[("vertex", y)][f"x{6 * (j - 1)}"]}
+        b.block(("edge", (x, y)), 5, *paths, glue)
     return b.instance("vertex-3-colouring", "C3r", Mode.IOT)
 
 
@@ -302,15 +303,11 @@ def reduce_3edge_to_u4(g: SimpleGraph) -> ReductionInstance:
     b = _Builder()
     for x in range(g.n):
         b.block(("vertex", x), 1, {"x": 0}, ())
+    # v1 -> v2 -> v3 -> v4, with ports 4 -> v1 and 5 -> v4 glued to x and y
+    path = {"v1": 0, "v2": 1, "v3": 2, "v4": 3}, [(0, 1), (1, 2), (2, 3), (4, 0), (5, 3)]
     for x, y in sorted(g.edges):
-        table = b.block(
-            ("edge", (x, y)),
-            4,
-            {"v1": 0, "v2": 1, "v3": 2, "v4": 3},
-            [(0, 1), (1, 2), (2, 3)],
-        )
-        b.arc(b.prov[("vertex", x)]["x"], table["v1"])
-        b.arc(b.prov[("vertex", y)]["x"], table["v4"])
+        glue = {4: b.prov[("vertex", x)]["x"], 5: b.prov[("vertex", y)]["x"]}
+        b.block(("edge", (x, y)), 6, *path, glue)
     return b.instance("cubic-3-edge-colouring", "U4", Mode.IOS)
 
 

@@ -41,6 +41,10 @@ the plain chronological order.
 Reflexive input graphs are accepted: a loop puts the vertex inside its
 own neighbourhoods (so its image must differ from its protected
 neighbours' images) and demands a reflexive target.
+
+Every decision route answers with a SolveResult: solve with its node
+count and the label "backtracking", poly.decide_poly with the label of
+the polynomial rule that answered.
 """
 
 from __future__ import annotations
@@ -75,9 +79,13 @@ class Homomorphism:
 
 @dataclass
 class SolveResult:
+    """An answer of any decision route; nodes_explored is 0 for a route
+    that does not search."""
+
     satisfiable: bool
     witness: Homomorphism | None
-    nodes_explored: int
+    nodes_explored: int = 0
+    algorithm: str = "backtracking"
 
 
 def check_hom(g: OrientedGraph, h: OrientedGraph, f, mode: Mode = Mode.PLAIN) -> bool:

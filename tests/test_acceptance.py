@@ -1,8 +1,8 @@
 """Top-level acceptance checks.
 
 Each test covers one numbered criterion, prints exactly one PASS/FAIL
-line (run pytest with -s, which pyproject makes the default), and
-asserts exact equality on every fact plus the stated runtime bounds.
+line (`pytest -s` shows those lines), and asserts exact equality on
+every fact plus the stated runtime bounds.
 """
 
 import itertools

@@ -106,6 +106,8 @@ def test_t2r_degree_cap_is_a_genuine_no():
     got = decide_poly(g, "T2r", Mode.IOS)
     assert got.algorithm == "two-sat"
     assert not got.satisfiable
+    # the search decides it, and its node count comes along
+    assert got.nodes_explored == solve(g, build_named("T2r"), Mode.IOS).nodes_explored
     assert not brute(g, "T2r", Mode.IOS)
 
 
@@ -156,6 +158,8 @@ def test_decide_poly_dispatch():
     assert decide_poly(g, "C3", Mode.IOS).algorithm == "path-cycle-mod3"
     assert decide_poly(g, "T2r", Mode.IOS).algorithm == "two-sat"
     assert decide_poly(g, "T2r", Mode.IOT).algorithm == "degree2-dp"
+    # the DP does not search
+    assert decide_poly(g, "T2r", Mode.IOT).nodes_explored == 0
     # paths and cycles go to the DP against every target
     untabled = [("C3r", Mode.IOS), ("T3r", Mode.IOT), ("U4", Mode.IOS),
                 ("C3", Mode.PLAIN), (transitive_tournament(3), Mode.IOS)]
@@ -174,6 +178,7 @@ def test_decide_poly_dispatch():
     got = decide_poly(star, "T2r", Mode.IOS)
     assert got.algorithm == "two-sat"
     assert got.satisfiable
+    assert got.nodes_explored == solve(star, build_named("T2r"), Mode.IOS).nodes_explored > 0
     assert check_hom(star, build_named("T2r"), got.witness.map, Mode.IOS)
 
 

@@ -33,7 +33,7 @@ from injhom.reductions import (
     reduce_3edge_to_um,
 )
 from injhom.solver import _Csp, _MaskTable, _neighbourhoods, _value_orbits, check_hom, enumerate_homs, solve
-from injhom.targets import build_named, u_tournament
+from injhom.targets import TargetSpec, build_named, u_tournament
 
 C3 = build_named("C3")
 C3r = build_named("C3r")
@@ -377,6 +377,29 @@ def test_decision_matches_naive_exhaustive():
                     assert res.satisfiable == bool(naive_homs(g, h, mode)), (g, h, mode)
                     if res.satisfiable:
                         assert check_hom(g, h, res.witness.map, mode), (g, h, mode)
+    # up to 3 vertices, more targets (a reflexive transitive triangle
+    # labelled apart from T3r among them), reflexive inputs, and
+    # decide_poly and enumerate_homs against the same naive maps
+    specs = [TargetSpec.parse(name) for name in ("C3", "C3r", "T2r", "T3", "T3r", "T1", "T2", "T1r", "U4")]
+    specs.append(TargetSpec.from_graph(OrientedGraph(3, [(1, 0), (1, 2), (0, 2)], reflexive=True)))
+    graphs = [g for n in range(4) for g in all_oriented_graphs(n)]
+    graphs += [OrientedGraph(g.n, g.arcs, reflexive=True) for g in graphs if g.n <= 2]
+    for g in graphs:
+        for spec in specs:
+            h = spec.build()
+            for mode in MODES:
+                naive = naive_homs(g, h, mode)
+                res = solve(g, h, mode)
+                assert res.satisfiable == bool(naive), (g, spec, mode)
+                if res.satisfiable:
+                    assert res.witness.map in naive, (g, spec, mode)
+                got = decide_poly(g, spec, mode)
+                if got is not None:
+                    assert got.satisfiable == bool(naive), (g, spec, mode)
+                    if got.satisfiable:
+                        assert got.witness.map in naive, (g, spec, mode)
+                homs = list(enumerate_homs(g, h, mode))
+                assert len(homs) == len(set(homs)) and set(homs) == set(naive), (g, spec, mode)
 
 
 def glued_at_cut_vertex(a, b):
