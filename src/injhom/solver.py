@@ -7,7 +7,12 @@ mode protects.  The protected neighbourhoods are listed once, at each of
 their members without that member, and each vertex's partners (the other
 members of all of them, in the same order) are one flat list; the
 singleton rule walks the partners and the two pair rules the
-neighbourhoods.  Propagation has four rules, so the forcing gadgets
+neighbourhoods.  Each domain starts on the target values with room for
+the vertex's protected neighbourhoods (the degree filter: a value's in-
+and out-degree, and under iot its whole neighbourhood, at least the
+vertex's, loops counted), then the pins apply.  No propagation rule
+derives this from whole-target domains, and it holds for deciding and
+enumerating alike.  Propagation has four rules, so the forcing gadgets
 collapse by unit propagation instead of search: arc support in both
 directions, singleton elimination, the naked-pair rule (two members of
 one protected neighbourhood on the same two values use both up, so its
@@ -52,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -60,8 +66,10 @@ from .graphs import Mode, OrientedGraph
 # The most vertices in a part that a split finds.  Node counts: a cap of
 # 32 takes a 24-vertex C3r colouring instance from 230 to 6,654 nodes, 64
 # costs the seed-3 hardness corpus 1.9% more, 128 and 256 keep every
-# count.  With no cap the counts hold, but three 6,100-vertex T3r
-# instances take 8-20 s instead of 3-9 s (2-vCPU x86 guest, Python 3.11).
+# count.  With no cap the counts barely move, but the sixteen 9,760-vertex
+# T3r instances of random cubic graphs on 160 vertices (seeds 1-8, ios
+# and iot) take 23.6 s in all instead of 16.3 s, one run each (2-vCPU x86
+# guest, Python 3.11).
 _PART_CAP = 128
 
 # The most permutations _value_orbits tries in its search for the
@@ -186,6 +194,14 @@ class _Csp:
             for outs, ins, near in zip(g.out_nbrs, g.in_nbrs, partners)
         ]
         self.start = [self.full] * g.n
+        if mode is not Mode.PLAIN and g.n:
+            # each vertex starts on the values with room for its
+            # neighbourhoods, unless every value has room for the largest
+            room = _room_table(h, mode, g.reflexive)
+            ins = list(map(len, g.in_nbrs))
+            outs = list(map(len, g.out_nbrs))
+            if room.fits(max(ins), max(outs), max(map(operator.add, ins, outs))) != self.full:
+                self.start = list(map(room.__getitem__, zip(ins, outs)))
         self.pinned = bool(pins)
         if pins:
             for v, a in pins.items():
@@ -350,10 +366,12 @@ class _Csp:
         whole search (backjump target -1): the root frame, the parts split
         off at the root and each fresh component.  There it tries only the
         lowest value of each orbit of the target's automorphism group
-        (_value_orbits).  This is sound: root propagation from whole-target
-        domains commutes with every automorphism, so it reaches domains
-        that each automorphism maps onto themselves, and a root singleton
-        is a value every automorphism fixes.  Such a frame's vertices keep
+        (_value_orbits).  This is sound: an automorphism keeps each value's
+        in- and out-degree, so it maps the degree filter's start domains
+        onto themselves, and root propagation from them commutes with
+        every automorphism, so it reaches domains that each automorphism
+        maps onto themselves, and a root singleton is a value every
+        automorphism fixes.  Such a frame's vertices keep
         their root domains and meet only root singletons, so its
         subproblem maps onto itself too, and a value whose subtree failed
         has images that fail alike.  The lowest value of a domain is the
@@ -599,6 +617,54 @@ def _target_tables(h: OrientedGraph) -> tuple:
             out_mask[a] |= 1 << a
             in_mask[a] |= 1 << a
     return _MaskTable(out_mask), _MaskTable(in_mask)
+
+
+@functools.lru_cache(maxsize=256)
+def _room_table(h: OrientedGraph, mode: Mode, loops: bool) -> "_RoomTable":
+    """The degree filter of one target under ios or iot, for inputs with
+    loops or without; cached like _target_tables."""
+    return _RoomTable(h, mode, loops)
+
+
+class _RoomTable(dict):
+    """The values that a vertex of the given (in-degree, out-degree) may
+    take, indexed by the pair, filled on first use.
+
+    A locally injective map sends each protected neighbourhood of a
+    vertex injectively into the matching one of its image (Fiala &
+    Kratochvil, Comput. Sci. Rev. 2(2), 2008).  So a value needs an in-
+    and an out-degree at least the vertex's, each counting a loop, and
+    under iot a whole neighbourhood at least the vertex's, the loop
+    counted once; that last bound says more only against a reflexive
+    target.  The entries shrink as either degree grows."""
+
+    def __init__(self, h, mode, loops):
+        super().__init__()
+        hr = int(h.reflexive)
+        self.own = int(loops)
+        self.iot = mode is Mode.IOT
+        self.room = [
+            (len(ins) + hr, len(outs) + hr, len(ins) + len(outs) + hr)
+            for ins, outs in zip(h.in_nbrs, h.out_nbrs)
+        ]
+
+    def __missing__(self, degrees):
+        ins, outs = degrees
+        mask = self[degrees] = self.fits(ins, outs, ins + outs)
+        return mask
+
+    def fits(self, ins, outs, whole) -> int:
+        """The values with room for ins in-neighbours, outs out-neighbours
+        and whole neighbours in all, loops not counted."""
+        own = self.own
+        ins += own
+        outs += own
+        whole = whole + own if self.iot else 0
+        mask = 0
+        for a, (room_in, room_out, room_whole) in enumerate(self.room):
+            if ins <= room_in and outs <= room_out and whole <= room_whole:
+                mask |= 1 << a
+        return mask
 
 
 class _MaskTable(dict):

@@ -402,6 +402,100 @@ def test_decision_matches_naive_exhaustive():
                 assert len(homs) == len(set(homs)) and set(homs) == set(naive), (g, spec, mode)
 
 
+SMALL_TARGETS = tuple(build_named(name) for name in ("T1", "T2", "T3", "C3", "T1r", "T2r", "C3r", "T3r", "U4"))
+
+
+def test_decision_and_enumeration_match_naive_on_four_to_six_vertices():
+    # enumeration is checked exhaustively above up to three vertices only,
+    # where no vertex has three neighbours; here the degree filter removes
+    # values and the rules run from the filtered domains
+    rng = random.Random(71)
+    filtered = 0
+    for _ in range(120):
+        g = random_oriented_graph(rng.randint(4, 6), rng, arc_chance=rng.choice((0.4, 0.6, 0.8)))
+        if rng.random() < 0.3:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        for h in SMALL_TARGETS:
+            plain = [f for f in itertools.product(range(h.n), repeat=g.n) if check_hom(g, h, f)]
+            for mode in MODES:
+                naive = {f for f in plain if check_hom(g, h, f, mode)}
+                filtered += min(_Csp(g, h, mode).start) < (1 << h.n) - 1
+                res = solve(g, h, mode)
+                assert res.satisfiable == bool(naive), (g, h, mode)
+                if res.satisfiable:
+                    assert res.witness.map in naive, (g, h, mode)
+                homs = list(enumerate_homs(g, h, mode))
+                assert len(homs) == len(set(homs)) and set(homs) == naive, (g, h, mode)
+    assert filtered > 0
+
+
+def star(ins, outs, reflexive=False):
+    """Vertex 0 with ins in-neighbours and outs out-neighbours."""
+    arcs = [(x, 0) for x in range(1, ins + 1)] + [(0, x) for x in range(ins + 1, ins + outs + 1)]
+    return OrientedGraph(1 + ins + outs, arcs, reflexive)
+
+
+def test_room_table_is_exact_on_stars():
+    # a star's leaves constrain nothing but the centre's neighbourhoods, so
+    # its centre may take exactly the values with room for them
+    degrees = [(i, o) for i in range(4) for o in range(4) if i + o <= 3] + [(2, 2)]
+    for h in SMALL_TARGETS:
+        for loops in (False, True) if h.reflexive else (False,):
+            for mode in (Mode.IOS, Mode.IOT):
+                room = solver._room_table(h, mode, loops)
+                for i, o in degrees:
+                    g = star(i, o, loops)
+                    want = 0
+                    for f in itertools.product(range(h.n), repeat=g.n):
+                        if check_hom(g, h, f, mode):
+                            want |= 1 << f[0]
+                    assert room[i, o] == want, (h, loops, mode, i, o)
+
+
+def test_degree_filter_refutes_at_the_root():
+    # three in-neighbours need three in-neighbours of the image, and each
+    # value of C3r has two, its loop counted
+    g = star(3, 0)
+    assert solve(g, C3r, Mode.PLAIN).satisfiable
+    for mode in (Mode.IOS, Mode.IOT):
+        res = solve(g, C3r, mode)
+        assert not res.satisfiable and res.nodes_explored == 0, mode
+    # under iot the whole neighbourhood counts: two in- and two
+    # out-neighbours need four values, and C3r's closed neighbourhoods
+    # hold three
+    g = star(2, 2)
+    assert solve(g, C3r, Mode.IOS).satisfiable
+    res = solve(g, C3r, Mode.IOT)
+    assert not res.satisfiable and res.nodes_explored == 0
+
+
+def test_k4_t3r_star_centres_start_on_one_value():
+    # in T3r only value 2 has three in-neighbours and only value 0 three
+    # out-neighbours, loops counted; root propagation alone leaves every
+    # domain of this instance whole
+    for mode in (Mode.IOS, Mode.IOT):
+        g = reduce_3edge_to_t3r(complete_graph(4), mode).graph
+        start = _Csp(g, T3r, mode).start
+        into = [v for v in range(g.n) if len(g.in_nbrs[v]) == 3]
+        out_of = [v for v in range(g.n) if len(g.out_nbrs[v]) == 3]
+        assert into and out_of
+        assert all(start[v] == 0b100 for v in into), mode
+        assert all(start[v] == 0b001 for v in out_of), mode
+    assert _Csp(g, T3r, Mode.PLAIN).start == [0b111] * g.n
+
+
+def test_c3r_colouring_instances_skip_the_degree_pass():
+    # each value of C3r has room for two in-, two out- and three neighbours
+    # in all, loops counted, and no vertex of these instances needs more:
+    # no vertex looks up its degrees
+    src = random_cubic(24, 3)
+    solver._room_table.cache_clear()
+    for reduce, mode in ((reduce_3col_to_ios_c3r, Mode.IOS), (reduce_3col_to_iot_c3r, Mode.IOT)):
+        g = reduce(src).graph
+        assert _Csp(g, C3r, mode).start == [0b111] * g.n
+        assert len(solver._room_table(C3r, mode, False)) == 0, mode
+
+
 def glued_at_cut_vertex(a, b):
     """a and b with b's vertex 0 identified with a's vertex a.n - 1."""
     shift = a.n - 1
@@ -506,8 +600,8 @@ def test_t3r_hardness_instances_decided_by_parts():
     res = solve(reduce_3edge_to_t3r(bridged_cubic_graph()).graph, T3r, Mode.IOS)
     assert not res.satisfiable and res.nodes_explored < 5_000, res.nodes_explored
     # inputs that never split keep the chronological search's counts
-    assert solve(reduce_3edge_to_t3r(complete_graph(4)).graph, T3r, Mode.IOS).nodes_explored == 49
-    assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 71
+    assert solve(reduce_3edge_to_t3r(complete_graph(4)).graph, T3r, Mode.IOS).nodes_explored == 39
+    assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 58
 
 
 def test_c3r_colouring_instance_decided_by_parts():
@@ -547,16 +641,33 @@ def test_t3r_random_cubic_instances_stay_off_the_heavy_tail():
             inst = reduce_3edge_to_t3r(src, mode)
             res = solve(inst.graph, T3r, mode)
             assert res.satisfiable and res.nodes_explored < 2_000, (seed, mode, res.nodes_explored)
-            f = res.witness.map
-            assert check_hom(inst.graph, T3r, f, mode)
-            # each leaf's image is the colour of its edge; both ends agree
-            colour = {}
-            for x, y in src.edges:
-                ends = {f[inst.vertex_roles(v)[f"leaf{src.edge_index(v, (x, y))}"]] for v in (x, y)}
-                assert len(ends) == 1, (seed, mode, (x, y))
-                colour[(x, y)] = ends.pop()
-            for v in range(src.n):
-                assert len({c for e, c in colour.items() if v in e}) == 3, (seed, mode, v)
+            assert_decodes_to_edge_colouring(src, inst, res.witness.map, mode)
+
+
+def test_t3r_random_cubic_instances_at_a_hundred_source_vertices():
+    # 6,100-vertex instances; without the degree filter seeds 3 and 4 took
+    # 20,660 and 22,183 ios nodes
+    for seed in (3, 4):
+        src = random_cubic(100, seed)
+        for mode in (Mode.IOS, Mode.IOT):
+            inst = reduce_3edge_to_t3r(src, mode)
+            res = solve(inst.graph, T3r, mode)
+            assert res.satisfiable and res.nodes_explored < 3_000, (seed, mode, res.nodes_explored)
+            assert_decodes_to_edge_colouring(src, inst, res.witness.map, mode)
+
+
+def assert_decodes_to_edge_colouring(src, inst, f, mode):
+    """f is a witness on the T3r instance of src, and its leaves give a
+    proper 3-edge-colouring of src."""
+    assert check_hom(inst.graph, T3r, f, mode)
+    # each leaf's image is the colour of its edge; both ends agree
+    colour = {}
+    for x, y in src.edges:
+        ends = {f[inst.vertex_roles(v)[f"leaf{src.edge_index(v, (x, y))}"]] for v in (x, y)}
+        assert len(ends) == 1, (mode, (x, y))
+        colour[(x, y)] = ends.pop()
+    for v in range(src.n):
+        assert len({c for e, c in colour.items() if v in e}) == 3, (mode, v)
 
 
 def test_two_vertex_targets_take_at_most_two_nodes_per_vertex():
