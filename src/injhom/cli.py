@@ -62,16 +62,21 @@ def _write_map(images, labels) -> None:
     sys.stdout.write("".join(lines))
 
 
+def _answer(res, spec, *notes) -> int:
+    """Print YES or NO, the notes, one line each, and the witness map;
+    return the exit status."""
+    print("YES" if res.satisfiable else "NO", *notes, sep="\n")
+    if res.witness:
+        _write_map(res.witness.map, target_labels(spec))
+    return 0 if res.satisfiable else 1
+
+
 def _cmd_decide(args) -> int:
     g = _read_graph(args.input)
     spec = _resolve_target(args.target)
     mode = Mode.parse(args.mode)
     verdict = decide_poly(g, spec, mode) or solve(g, spec.build(), mode)
-    print("YES" if verdict.satisfiable else "NO")
-    print(f"algorithm: {verdict.algorithm}")
-    if verdict.witness:
-        _write_map(verdict.witness.map, target_labels(spec))
-    return 0 if verdict.satisfiable else 1
+    return _answer(verdict, spec, f"algorithm: {verdict.algorithm}")
 
 
 def _parse_pins(spec: TargetSpec, texts) -> dict:
@@ -96,18 +101,15 @@ def _cmd_solve(args) -> int:
     pins = _parse_pins(spec, args.pin)
     target = spec.build()
     if args.enumerate:
+        labels = target_labels(spec)
         count = 0
         for hom in enumerate_homs(g, target, mode, pins=pins, limit=args.limit):
             print(f"witness {count + 1}:")
-            _write_map(hom, target_labels(spec))
+            _write_map(hom, labels)
             count += 1
         print(f"solutions: {count}" + (" (limit reached)" if args.limit == count and count else ""))
         return 0 if count else 1
-    res = solve(g, target, mode, pins=pins)
-    print("YES" if res.satisfiable else "NO")
-    if res.witness:
-        _write_map(res.witness.map, target_labels(spec))
-    return 0 if res.satisfiable else 1
+    return _answer(solve(g, target, mode, pins=pins), spec)
 
 
 def _cmd_gadget(args) -> int:

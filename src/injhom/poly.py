@@ -6,11 +6,11 @@ every input of underlying degree at most 2 to a transfer DP along its
 paths and cycles.  The DP keeps each layer of states as one int bitmask
 and steps a layer through a per-call mask table from mask to next mask,
 so each walk vertex costs one dict lookup once the table has seen its
-mask; the per-state masks it unions are built once per target.  Each
-walk's moves are built and stepped in chunks of doubling size, from all
-of its start states at once, and the walk stops at its first empty
-layer: a no that shows within a few vertices builds and steps only
-those.  That pass is a path's DP, and its witness is traced back through
+mask; the per-state masks it unions are built once per target from the
+search's per-value masks.  Each walk's moves are built and stepped in
+chunks of doubling size, from all of its start states at once, and the
+walk stops at its first empty layer: a no that shows within a few
+vertices builds and steps only those.  That pass is a path's DP, and its witness is traced back through
 it.  A cycle's walk goes on through its closing arc and its first arc
 again, so closing takes two more steps of the same walk.  Its start
 states are tried in turn, each alone, and one works when the last layer
@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .graphs import Mode, OrientedGraph
-from .solver import Homomorphism, SolveResult, _MaskTable, _target_tables, solve
+from .solver import Homomorphism, SolveResult, _MaskTable, _target, solve
 from .targets import TargetSpec
 
 
@@ -52,10 +52,12 @@ from .targets import TargetSpec
 
 @lru_cache(maxsize=8)
 def _tables(h: OrientedGraph) -> tuple:
-    """The DP's state tables for target h, shared by every call against
-    an equal target and kept for the last eight targets (U100's alone
-    take about 53 MB).  A state a * h.n + b says that two consecutive
-    walk vertices take images a, b; a layer is the mask of its states.
+    """The DP's state tables for target h, built from the masks of the
+    solver's _Target for h.  They are shared by every call against an
+    equal target and kept for the last eight targets, a bound of their
+    own since U100's alone take about 53 MB.  A state a * h.n + b says
+    that two consecutive walk vertices take images a, b; a layer is the
+    mask of its states.
 
     arcs[f] is the mask of the states an arc allows, walked forwards
     (f true: a -> b) or backwards.  moves[f, d] is the (step, back) pair
@@ -67,9 +69,9 @@ def _tables(h: OrientedGraph) -> tuple:
     n = h.n
     column = sum(1 << a * n for a in range(n))  # the states (a, 0)
     arcs, moves = {}, {}
-    for f, support in zip((True, False), _target_tables(h)):
-        # after[b]: the mask of the images c that may follow image b
-        after = support.masks
+    target = _target(h)
+    # after[b]: the mask of the images c that may follow image b
+    for f, after in ((True, target.out_support.masks), (False, target.in_support.masks)):
         arcs[f] = sum(after[a] << a * n for a in range(n))
         for d in (True, False):
             # step[a * n + b]: the states (b, c); back[b * n + c]: the states (a, b)

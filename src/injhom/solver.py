@@ -23,11 +23,11 @@ intersection of the two values' masks).  Domains are bitmasks.  Each
 target value has an out- and an in-mask, its loop included; the values
 an arc neighbour may take are read from tables that map a domain mask to
 the union of its values' masks, and an arc side whose union is the whole
-target removes nothing and is skipped.  The masks and tables are shared
-between searches against equal targets, and the transfer DP in poly
-steps its layers through the same kind of table.  The input's side of the
-problem reads the graph's own neighbour lists and is built afresh for
-each search.
+target removes nothing and is skipped.  All that the search derives from
+the target alone is one _Target, shared by the searches against equal
+targets and by the transfer DP in poly, which steps its layers through
+the same kind of table.  The input's side of the problem reads the
+graph's own neighbour lists and is built afresh for each search.
 
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
@@ -72,7 +72,7 @@ from .graphs import Mode, OrientedGraph
 # guest, Python 3.11).
 _PART_CAP = 128
 
-# The most permutations _value_orbits tries in its search for the
+# The most permutations _Target.reps tries in its search for the
 # target's automorphisms: 7!, every permutation of a 7-vertex target.
 _ORBIT_CAP = 5040
 
@@ -168,9 +168,7 @@ class _Csp:
         self.h = h
         self.nodes = 0
         self.infeasible = g.reflexive and not h.reflexive and g.n > 0
-        hn = h.n
-        self.full = (1 << hn) - 1
-        self.out_support, self.in_support = _target_tables(h)
+        self.target = target = _target(h)
         nbhds_at = [[] for _ in range(g.n)]
         partners = [[] for _ in range(g.n)]
         # most neighbourhoods of a hardness instance have two members;
@@ -193,22 +191,14 @@ class _Csp:
             sorted({*outs, *ins, *near}) if near else sorted(outs + ins)
             for outs, ins, near in zip(g.out_nbrs, g.in_nbrs, partners)
         ]
-        self.start = [self.full] * g.n
-        if mode is not Mode.PLAIN and g.n:
-            # each vertex starts on the values with room for its
-            # neighbourhoods, unless every value has room for the largest
-            room = _room_table(h, mode, g.reflexive)
-            ins = list(map(len, g.in_nbrs))
-            outs = list(map(len, g.out_nbrs))
-            if room.fits(max(ins), max(outs), max(map(operator.add, ins, outs))) != self.full:
-                self.start = list(map(room.__getitem__, zip(ins, outs)))
+        self.start = target.start(g, mode)
         self.pinned = bool(pins)
         if pins:
             for v, a in pins.items():
                 if not (isinstance(v, int) and 0 <= v < g.n):
                     raise ValueError(f"pin on unknown vertex {v!r}")
-                if not (isinstance(a, int) and 0 <= a < hn):
-                    raise ValueError(f"pin image {a!r} out of range for target on {hn} vertices")
+                if not (isinstance(a, int) and 0 <= a < h.n):
+                    raise ValueError(f"pin image {a!r} out of range for target on {h.n} vertices")
                 self.start[v] &= 1 << a
 
     def _propagate(self, dom, stack, trail) -> bool:
@@ -236,14 +226,14 @@ class _Csp:
         solution uses, and the members of a neighbourhood are pairwise
         constraint neighbours, so it never reaches across the parts a
         decision splits off."""
-        out_support = self.out_support
-        in_support = self.in_support
+        out_support = self.target.out_support
+        in_support = self.target.in_support
         out_masks = out_support.masks
         in_masks = in_support.masks
         out_nbrs = self.g.out_nbrs
         in_nbrs = self.g.in_nbrs
         arcs = self.g.arcs
-        full = self.full
+        full = self.target.full
         nbhds_at = self.nbhds_at
         partners = self.partners
         log = trail.append
@@ -366,7 +356,7 @@ class _Csp:
         whole search (backjump target -1): the root frame, the parts split
         off at the root and each fresh component.  There it tries only the
         lowest value of each orbit of the target's automorphism group
-        (_value_orbits).  This is sound: an automorphism keeps each value's
+        (_Target.reps).  This is sound: an automorphism keeps each value's
         in- and out-degree, so it maps the degree filter's start domains
         onto themselves, and root propagation from them commutes with
         every automorphism, so it reaches domains that each automorphism
@@ -400,12 +390,9 @@ class _Csp:
         self._owner = [0] * n
         self._next_id = 1
         self._first_only = first_only
-        # the values tried at a frame whose failure ends the search: the
-        # lowest of each orbit of the target's automorphisms
-        self._reps = self.full
-        if first_only and self.h.n > 2 and not self.pinned:
-            for orbit in _value_orbits(self.h):
-                self._reps &= ~(orbit & (orbit - 1))
+        # the values tried at a frame whose failure ends the search
+        skip = first_only and self.h.n > 2 and not self.pinned
+        self._reps = self.target.reps if skip else self.target.full
         trail = []
         decided = [v for v in range(n) if dom[v] & (dom[v] - 1) == 0]
         frame = self._next_frame(dom, set(), decided, None, -1, 0, 0)
@@ -565,70 +552,17 @@ def _lowest_free(dom, low_free) -> int:
     return low_free
 
 
-@functools.lru_cache(maxsize=256)
-def _value_orbits(h: OrientedGraph) -> tuple:
-    """The orbits of the target's automorphism group on its values that
-    hold two or more values, as masks in increasing order.
+class _Target(dict):
+    """What the search derives from one target, which depends on the
+    target alone.
 
-    The group is found by brute force over the permutations that keep
-    each value's (out-degree, in-degree); when those number more than
-    _ORBIT_CAP, no orbits are returned, which is always sound.  Cached
-    like _target_tables: named targets have at most six such permutations
-    (the rotations and reflections of C3's triangle)."""
-    classes = {}
-    for a in range(h.n):
-        classes.setdefault((len(h.out_nbrs[a]), len(h.in_nbrs[a])), []).append(a)
-    groups = [c for c in classes.values() if len(c) > 1]
-    if math.prod(map(math.factorial, map(len, groups))) > _ORBIT_CAP:
-        return ()
-    arcs = h.arcs
-    image = list(range(h.n))
-    orbit = [1 << a for a in range(h.n)]
-    for perms in itertools.product(*map(itertools.permutations, groups)):
-        for c, p in zip(groups, perms):
-            for a, b in zip(c, p):
-                image[a] = b
-        if all((image[a], image[b]) in arcs for a, b in arcs):
-            for a in range(h.n):
-                orbit[a] |= 1 << image[a]
-    return tuple(sorted({o for o in orbit if o & (o - 1)}))
-
-
-@functools.lru_cache(maxsize=256)
-def _target_tables(h: OrientedGraph) -> tuple:
-    """The support tables of one target, out and in: the values an arc
-    neighbour may take, given a domain.  Their masks, loops included,
-    are each value's out- and in-neighbours.
-
-    Entries depend on the target alone, so every search against an equal
-    target shares them.  Named targets are built once per process, and
-    callers in one process ask about the same few targets again and again;
-    custom targets, read from a file for every command, find their tables
-    by equality.  The bound holds every named target with room for many
-    custom ones.
-    """
-    out_mask = [0] * h.n
-    in_mask = [0] * h.n
-    for a, b in h.arcs:
-        out_mask[a] |= 1 << b
-        in_mask[b] |= 1 << a
-    if h.reflexive:
-        for a in range(h.n):
-            out_mask[a] |= 1 << a
-            in_mask[a] |= 1 << a
-    return _MaskTable(out_mask), _MaskTable(in_mask)
-
-
-@functools.lru_cache(maxsize=256)
-def _room_table(h: OrientedGraph, mode: Mode, loops: bool) -> "_RoomTable":
-    """The degree filter of one target under ios or iot, for inputs with
-    loops or without; cached like _target_tables."""
-    return _RoomTable(h, mode, loops)
-
-
-class _RoomTable(dict):
-    """The values that a vertex of the given (in-degree, out-degree) may
-    take, indexed by the pair, filled on first use.
+    out_support and in_support give the values an arc neighbour may take,
+    given a domain; their masks, loops included, are each value's out- and
+    in-neighbours, and poly's transfer DP reads them too.  reps is the
+    mask of the lowest value of each orbit of the target's automorphisms,
+    found on first use.  Indexed by (iot, loops, in-degree, out-degree),
+    with loops 1 for a reflexive input, the object itself is the degree
+    filter: the values a vertex may take, filled on first use.
 
     A locally injective map sends each protected neighbourhood of a
     vertex injectively into the matching one of its image (Fiala &
@@ -638,33 +572,93 @@ class _RoomTable(dict):
     counted once; that last bound says more only against a reflexive
     target.  The entries shrink as either degree grows."""
 
-    def __init__(self, h, mode, loops):
+    def __init__(self, h: OrientedGraph):
         super().__init__()
+        self.h = h
+        self.full = (1 << h.n) - 1
         hr = int(h.reflexive)
-        self.own = int(loops)
-        self.iot = mode is Mode.IOT
+        out_mask = [hr << a for a in range(h.n)]  # a loop to itself
+        in_mask = out_mask.copy()
+        for a, b in h.arcs:
+            out_mask[a] |= 1 << b
+            in_mask[b] |= 1 << a
+        self.out_support = _MaskTable(out_mask)
+        self.in_support = _MaskTable(in_mask)
+        # each value's in-degree, out-degree and whole degree, loop counted
         self.room = [
             (len(ins) + hr, len(outs) + hr, len(ins) + len(outs) + hr)
             for ins, outs in zip(h.in_nbrs, h.out_nbrs)
         ]
 
-    def __missing__(self, degrees):
-        ins, outs = degrees
-        mask = self[degrees] = self.fits(ins, outs, ins + outs)
+    def __missing__(self, key):
+        iot, own, ins, outs = key
+        mask = self[key] = self.fits(iot, own, ins, outs, ins + outs)
         return mask
 
-    def fits(self, ins, outs, whole) -> int:
+    def fits(self, iot, own, ins, outs, whole) -> int:
         """The values with room for ins in-neighbours, outs out-neighbours
-        and whole neighbours in all, loops not counted."""
-        own = self.own
+        and whole neighbours in all, loops not counted, under iot or ios,
+        for an input with loops (own 1) or without (own 0)."""
         ins += own
         outs += own
-        whole = whole + own if self.iot else 0
+        whole = whole + own if iot else 0
         mask = 0
         for a, (room_in, room_out, room_whole) in enumerate(self.room):
             if ins <= room_in and outs <= room_out and whole <= room_whole:
                 mask |= 1 << a
         return mask
+
+    def start(self, g: OrientedGraph, mode: Mode) -> list:
+        """Each vertex's start domain: under ios and iot the values with
+        room for its protected neighbourhoods, one lookup per vertex,
+        unless every value has room for the largest; the whole target
+        otherwise."""
+        if mode is not Mode.PLAIN and g.n:
+            ins = list(map(len, g.in_nbrs))
+            outs = list(map(len, g.out_nbrs))
+            iot = mode is Mode.IOT
+            own = int(g.reflexive)
+            if self.fits(iot, own, max(ins), max(outs), max(map(operator.add, ins, outs))) != self.full:
+                keys = zip(itertools.repeat(iot), itertools.repeat(own), ins, outs)
+                return list(map(self.__getitem__, keys))
+        return [self.full] * g.n
+
+    @functools.cached_property
+    def reps(self) -> int:
+        """The lowest value of each orbit, as a mask.
+
+        The automorphisms are found by brute force over the permutations
+        that keep each value's (out-degree, in-degree); when those number
+        more than _ORBIT_CAP, every value counts as its own orbit, which
+        is always sound.  Named targets have at most six such permutations
+        (the rotations and reflections of C3's triangle)."""
+        h = self.h
+        classes = {}
+        for a in range(h.n):
+            classes.setdefault((len(h.out_nbrs[a]), len(h.in_nbrs[a])), []).append(a)
+        groups = [c for c in classes.values() if len(c) > 1]
+        reps = self.full
+        if math.prod(map(math.factorial, map(len, groups))) > _ORBIT_CAP:
+            return reps
+        arcs = h.arcs
+        image = list(range(h.n))
+        for perms in itertools.product(*map(itertools.permutations, groups)):
+            for c, p in zip(groups, perms):
+                for a, b in zip(c, p):
+                    image[a] = b
+            if all((image[a], image[b]) in arcs for a, b in arcs):
+                for a, b in enumerate(image):
+                    if b > a:  # b has a lower value in its orbit
+                        reps &= ~(1 << b)
+        return reps
+
+
+# Every search and DP against a target reads its _Target, found by
+# equality, so custom targets read from a file for every command share it
+# too.  One benchmark process meets at most ten targets (many-small's
+# verify suites; hardness five, long-sparse six), counted with
+# cache_info() after one pass; the bound keeps those with room to spare.
+_target = functools.lru_cache(maxsize=16)(_Target)
 
 
 class _MaskTable(dict):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from injhom import chromatic
 from injhom.chromatic import (
     ChiCapError,
     ChiResult,
@@ -236,6 +237,14 @@ def test_chi_cap_error():
     g = random_oriented_graph(8, rng, arc_chance=0.9)
     with pytest.raises(ChiCapError):
         chi(g, "proper-ios")
+
+
+def test_chi_refuses_an_invalid_colouring(monkeypatch):
+    # every vertex on colour 0: the arc's ends share a colour, which no
+    # loopless tournament allows
+    monkeypatch.setattr(chromatic._ColourSearch, "colouring", lambda self, k: ([0, 0], 0))
+    with pytest.raises(RuntimeError, match="invalid proper-ios colouring"):
+        chi(directed_path(2), "proper-ios")
 
 
 def test_chi_rejects_reflexive_inputs():

@@ -1,14 +1,16 @@
+import dataclasses
 import random
 import time
 from pathlib import Path
 
 import pytest
 
-from injhom import reductions, targets
+from injhom import cli, reductions, targets, verify
 from injhom.cli import main
 from injhom.fileformat import format_edge_list, format_undirected_edge_list, parse_edge_list
 from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph
 from injhom.reductions import SimpleGraph, complete_graph, reduce_3edge_to_t3r
+from injhom.solver import Homomorphism
 from injhom.verify import SUITES
 
 
@@ -95,22 +97,26 @@ def test_decide_custom_target_via_at_file(write, capsys):
     assert "0 -> v0" in out and "1 -> v" in out
 
 
-def test_solve_enumerate_and_limit(write, capsys):
+def test_solve_enumerate_and_limit(write, capsys, monkeypatch):
+    labelled = []
+    monkeypatch.setattr(cli, "target_labels", lambda spec: labelled.append(spec) or targets.target_labels(spec))
     path = write("c3.txt", format_edge_list(directed_cycle(3)))
     code, out, _ = run(capsys, "solve", path, "C3r", "ios", "--enumerate")
     assert code == 0
     assert "solutions: 6" in out
     assert out.count("witness") == 6
+    assert len(labelled) == 1  # once per command, not once per witness
 
     code, out, _ = run(capsys, "solve", path, "C3r", "ios", "--enumerate", "--limit", "2")
     assert code == 0
     assert "solutions: 2 (limit reached)" in out
 
 
-@pytest.mark.parametrize("limit", ["0", "-1"])
+@pytest.mark.parametrize("limit", ["0", "-1", "abc"])
 def test_solve_limit_below_one_is_a_usage_error(write, capsys, limit):
     # three isolated vertices have solutions against T3; a limit below one
-    # would print "solutions: 0" as a NO, or fail inside the enumeration
+    # would print "solutions: 0" as a NO, or fail inside the enumeration;
+    # a limit that is not a number is refused with the same message
     path = write("e3.txt", format_edge_list(OrientedGraph(3)))
     code, out, err = run(capsys, "solve", path, "T3", "ios", "--enumerate", f"--limit={limit}")
     assert code == 2 and out == ""
@@ -297,6 +303,49 @@ def test_verify_suite(capsys):
     assert code == 0
     assert "12/12 checks passed" in out
     assert out.count("pass") >= 12
+
+
+def test_verify_reports_a_wrong_decider_verdict(capsys, monkeypatch):
+    # one wrong verdict, on the first graph of the first case, fails that
+    # case's check and only that one
+    real = verify.decide_poly
+    calls = []
+
+    def decide_poly(g, spec, mode):
+        res = real(g, spec, mode)
+        calls.append(g)
+        return dataclasses.replace(res, satisfiable=not res.satisfiable) if len(calls) == 1 else res
+
+    monkeypatch.setattr(verify, "decide_poly", decide_poly)
+    code, out, _ = run(capsys, "verify", "oracle-equivalence")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("FAIL  decider vs brute force: T1 ios")
+    assert all(line.startswith("pass") for line in lines[1:-1]), lines
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
+
+
+def test_verify_reports_an_invalid_witness(capsys, monkeypatch):
+    # a YES with a map that is no homomorphism fails the check too
+    real = verify.decide_poly
+
+    def decide_poly(g, spec, mode):
+        res = real(g, spec, mode)
+        if res.satisfiable and spec.name == "C3" and g.arcs:
+            res = dataclasses.replace(res, witness=Homomorphism((0,) * g.n, mode))
+        return res
+
+    monkeypatch.setattr(verify, "decide_poly", decide_poly)
+    code, out, _ = run(capsys, "verify", "oracle-equivalence")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert len(fails) == 1 and fails[0].startswith("FAIL  decider vs brute force: C3 ios"), fails
+
+
+def test_unknown_suite_is_refused():
+    # the command line offers only the suites' names; the library call names them
+    with pytest.raises(ValueError, match="unknown suite 'lemma-Z'; available: gadget-F, "):
+        verify.run_suite("lemma-Z")
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

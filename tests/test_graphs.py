@@ -29,6 +29,10 @@ def test_arc_validation():
         OrientedGraph(2, [(0, 2)])
     with pytest.raises(ValueError):
         OrientedGraph(2, [(-1, 0)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        OrientedGraph(-1)
+    with pytest.raises(ValueError, match="must be ints"):
+        OrientedGraph(2, [(0, 1.0)])
 
 
 def test_duplicate_arcs_collapse():
@@ -42,6 +46,7 @@ def test_neighbourhoods_and_degrees():
     assert g.in_nbrs[0] == (3,)
     assert g.in_degree(1) == 1 and g.out_degree(1) == 0
     assert max_degrees(g) == (1, 2)
+    assert max_degrees(OrientedGraph(0)) == (0, 0)
     assert g.underlying_nbrs[0] == (1, 2, 3)
 
 

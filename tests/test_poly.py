@@ -134,6 +134,16 @@ def test_degree2_dp_generic_target():
     assert not got.satisfiable and got.algorithm == "path-cycle-mod3"
 
 
+def test_degree2_dp_against_an_empty_target():
+    # no vertex has an image, so only the empty input maps
+    empty = TargetSpec.from_graph(OrientedGraph(0))
+    for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
+        for g in (directed_path(3), OrientedGraph(2)):
+            got = decide_poly(g, empty, mode)
+            assert not got.satisfiable and got.witness is None and got.algorithm == "degree2-dp"
+        assert decide_poly(OrientedGraph(0), empty, mode).satisfiable
+
+
 def test_degree2_dp_matches_solver_random():
     rng = random.Random(78)
     targets = ("C3r", "T3r", "U4")

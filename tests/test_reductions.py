@@ -71,6 +71,8 @@ def test_simple_graph_queries():
     assert not p.is_cubic() and p.min_degree() == 1
     two_parts = SimpleGraph(4, [(0, 1), (2, 3)])
     assert not two_parts.is_connected()
+    empty = SimpleGraph(0, [])
+    assert empty.is_connected() and not empty.is_cubic()
 
 
 def test_incident_order_and_edge_index():
@@ -215,6 +217,12 @@ def test_3edge_u4_and_lift():
     assert inst.target == "U4" and inst.mode is Mode.IOS
     check_provenance_partitions(inst)
     assert answer(inst)
+    # each edge xy, x < y, is the path x -> v1 -> v2 -> v3 -> v4 <- y, found
+    # from either end
+    for x, y in k4.edges:
+        roles = inst.edge_roles(y, x)
+        assert roles == inst.edge_roles(x, y) and set(roles) == {"v1", "v2", "v3", "v4"}
+        assert (x, roles["v1"]) in inst.graph.arcs and (y, roles["v4"]) in inst.graph.arcs
 
     lifted = lift_u4_instance(inst, 5)
     assert lifted.graph.n == 32
@@ -278,6 +286,12 @@ def test_reductions_build_the_validated_graph_without_validating(monkeypatch):
 def test_3edge_u4_no_instance():
     inst = reduce_3edge_to_u4(bridged_cubic_graph())
     assert not answer(inst)
+
+
+def test_3edge_u4_needs_a_cubic_graph():
+    for g in (path_graph(4), complete_graph(5), SimpleGraph(0, [])):
+        with pytest.raises(ValueError, match="cubic"):
+            reduce_3edge_to_u4(g)
 
 
 def test_u4_lift_validation():
@@ -439,3 +453,9 @@ def test_oracle_size_cap():
         oracle_k_colouring(big, 3)
     with pytest.raises(ValueError):
         find_3edge_colouring(big)
+
+
+def test_oracle_rejects_a_negative_colour_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle_k_colouring(path_graph(2), -1)
+    assert oracle_k_colouring(SimpleGraph(0, []), 0) == []

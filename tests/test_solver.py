@@ -32,7 +32,7 @@ from injhom.reductions import (
     reduce_3edge_to_u4,
     reduce_3edge_to_um,
 )
-from injhom.solver import _Csp, _MaskTable, _neighbourhoods, _value_orbits, check_hom, enumerate_homs, solve
+from injhom.solver import _Csp, _MaskTable, _neighbourhoods, _Target, check_hom, enumerate_homs, solve
 from injhom.targets import TargetSpec, build_named, u_tournament
 
 C3 = build_named("C3")
@@ -442,14 +442,14 @@ def test_room_table_is_exact_on_stars():
     for h in SMALL_TARGETS:
         for loops in (False, True) if h.reflexive else (False,):
             for mode in (Mode.IOS, Mode.IOT):
-                room = solver._room_table(h, mode, loops)
+                room = _Target(h)
                 for i, o in degrees:
                     g = star(i, o, loops)
                     want = 0
                     for f in itertools.product(range(h.n), repeat=g.n):
                         if check_hom(g, h, f, mode):
                             want |= 1 << f[0]
-                    assert room[i, o] == want, (h, loops, mode, i, o)
+                    assert room[mode is Mode.IOT, int(loops), i, o] == want, (h, loops, mode, i, o)
 
 
 def test_degree_filter_refutes_at_the_root():
@@ -489,11 +489,11 @@ def test_c3r_colouring_instances_skip_the_degree_pass():
     # in all, loops counted, and no vertex of these instances needs more:
     # no vertex looks up its degrees
     src = random_cubic(24, 3)
-    solver._room_table.cache_clear()
+    solver._target.cache_clear()
     for reduce, mode in ((reduce_3col_to_ios_c3r, Mode.IOS), (reduce_3col_to_iot_c3r, Mode.IOT)):
         g = reduce(src).graph
         assert _Csp(g, C3r, mode).start == [0b111] * g.n
-        assert len(solver._room_table(C3r, mode, False)) == 0, mode
+        assert len(solver._target(C3r)) == 0, mode
 
 
 def glued_at_cut_vertex(a, b):
@@ -809,8 +809,9 @@ def random_tournament(k, rng, reflexive=False):
 
 
 def _solve_without_orbits(monkeypatch, g, h, mode, pins=None):
+    # every value its own orbit; a property overrides the cached reps
     with monkeypatch.context() as m:
-        m.setattr(solver, "_value_orbits", lambda h: ())
+        m.setattr(_Target, "reps", property(lambda target: target.full))
         return solve(g, h, mode, pins=pins)
 
 
@@ -854,12 +855,12 @@ def test_skipping_symmetric_values_keeps_every_answer(monkeypatch):
     assert saved > 0
 
 
-def _orbits_by_brute_force(h):
+def _orbit_reps_by_brute_force(h):
+    """The mask of the lowest value of each orbit of h's automorphisms."""
     auts = [
         p for p in itertools.permutations(range(h.n)) if all((p[a], p[b]) in h.arcs for a, b in h.arcs)
     ]
-    orbits = {frozenset(p[a] for p in auts) for a in range(h.n)}
-    return {orbit for orbit in orbits if len(orbit) > 1}
+    return sum({1 << min(p[a] for p in auts) for a in range(h.n)})
 
 
 def test_value_orbits_match_every_permutation():
@@ -869,11 +870,10 @@ def test_value_orbits_match_every_permutation():
     # not tournaments: two directed triangles, which the group also swaps
     targets += [disjoint_union(C3, C3), directed_cycle(4), directed_path(4), edgeless(5)]
     for h in targets:
-        got = _value_orbits(h)
-        assert list(got) == sorted(got), h
-        assert {frozenset(_bit_indices(orbit)) for orbit in got} == _orbits_by_brute_force(h), h
-    assert _value_orbits(C3r) == (0b111,)
-    assert _value_orbits(edgeless(8)) == ()  # 8! permutations: past the cap
+        assert _Target(h).reps == _orbit_reps_by_brute_force(h), h
+    assert _Target(C3r).reps == 0b001
+    assert _Target(edgeless(5)).reps == 0b00001
+    assert _Target(edgeless(8)).reps == 0xFF  # 8! permutations: past the cap
 
 
 def test_k4_colouring_refutations_try_one_value_of_each_orbit():
@@ -904,7 +904,7 @@ def test_no_values_skipped_against_two_vertex_targets(monkeypatch):
     # the root-level ones, so the rule stays off there
     rng = random.Random(62)
     for h in (OrientedGraph(2, ()), OrientedGraph(2, (), reflexive=True)):
-        assert _value_orbits(h) == (0b11,)
+        assert _Target(h).reps == 0b01
         for _ in range(150):
             g = random_oriented_graph(rng.randint(2, 9), rng, arc_chance=rng.choice((0.1, 0.25)))
             if rng.random() < 0.5:
