@@ -3,31 +3,29 @@
 A (G, H, mode) question becomes a binary constraint problem: one
 variable per vertex of G with domain V(H), arc constraints for arc
 preservation, and an all-different constraint on each neighbourhood the
-mode protects.  The protected neighbourhoods are listed once, at each of
-their members without that member, and each vertex's partners (the other
-members of all of them, in the same order) are one flat list; the
-singleton rule walks the partners and the two pair rules the
-neighbourhoods.  Each domain starts on the target values with room for
-the vertex's protected neighbourhoods (the degree filter: a value's in-
-and out-degree, and under iot its whole neighbourhood, at least the
+mode protects.  Each vertex's partners (the other members of every
+protected neighbourhood it lies in, repeats kept) are one flat list, which
+the singleton rule walks; the neighbourhoods of three or more members are
+also listed at each member without that member, for the naked-pair rule.
+Each domain starts on the target values with room for the vertex's
+protected neighbourhoods (the degree filter: a value's in- and
+out-degree, and under iot its whole neighbourhood, at least the
 vertex's, loops counted), then the pins apply.  No propagation rule
 derives this from whole-target domains, and it holds for deciding and
-enumerating alike.  Propagation has four rules, so the forcing gadgets
+enumerating alike.  Propagation has three rules, so the forcing gadgets
 collapse by unit propagation instead of search: arc support in both
-directions, singleton elimination, the naked-pair rule (two members of
-one protected neighbourhood on the same two values use both up, so its
-other members lose them: the size-two Hall sets of the all-different
-constraint), and the pair-union rule (when those two are both in- or
-both out-neighbours of the centre, the centre may take only the
-intersection of the two values' masks).  Domains are bitmasks.  Each
-target value has an out- and an in-mask, its loop included; the values
-an arc neighbour may take are read from tables that map a domain mask to
-the union of its values' masks, and an arc side whose union is the whole
-target removes nothing and is skipped.  All that the search derives from
-the target alone is one _Target, shared by the searches against equal
-targets and by the transfer DP in poly, which steps its layers through
-the same kind of table.  The input's side of the problem reads the
-graph's own neighbour lists and is built afresh for each search.
+directions, singleton elimination and the naked-pair rule (two members
+of one protected neighbourhood on the same two values use both up, so
+its other members lose them: the size-two Hall sets of the all-different
+constraint).  Domains are bitmasks.  Each target value has an out- and
+an in-mask, its loop included; the values an arc neighbour may take are
+read from tables that map a domain mask to the union of its values'
+masks, and an arc side whose union is the whole target removes nothing
+and is skipped.  All that the search derives from the target alone is
+one _Target, shared by the searches against equal targets and by the
+transfer DP in poly, which steps its layers through the same kind of
+table.  The input's side of the problem reads the graph's own neighbour
+lists and is built afresh for each search.
 
 The search is depth-first on an explicit stack, with one domain list and
 a trail of changes undone on backtracking, so input size is not bounded
@@ -158,10 +156,11 @@ def _neighbourhoods(g: OrientedGraph, mode: Mode) -> Iterator[tuple]:
 class _Csp:
     """One prepared search instance; not reusable across calls.
 
-    The graph side holds, for each vertex, the protected neighbourhoods it
-    belongs to, as (centre, the other members), its partners (the other
-    members of all of those, in the same order, repeats kept) and its
-    constraint neighbours (arc neighbours and partners, once each)."""
+    The graph side holds, for each vertex, its partners (the other members
+    of the protected neighbourhoods it belongs to, repeats kept), those of
+    the neighbourhoods that have three or more members, each as the tuple
+    of its other members, and its constraint neighbours (arc neighbours and
+    partners, once each)."""
 
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
@@ -172,18 +171,16 @@ class _Csp:
         nbhds_at = [[] for _ in range(g.n)]
         partners = [[] for _ in range(g.n)]
         # most neighbourhoods of a hardness instance have two members;
-        # those are placed without slicing
-        for centre, members in _neighbourhoods(g, mode):
+        # those reach only the partners, unsliced
+        for _, members in _neighbourhoods(g, mode):
             if len(members) == 2:
                 a, b = members
-                nbhds_at[a].append((centre, (b,)))
-                nbhds_at[b].append((centre, (a,)))
                 partners[a].append(b)
                 partners[b].append(a)
             else:
                 for i, w in enumerate(members):
                     others = members[:i] + members[i + 1:]
-                    nbhds_at[w].append((centre, others))
+                    nbhds_at[w].append(others)
                     partners[w].extend(others)
         self.nbhds_at = nbhds_at
         self.partners = partners
@@ -202,37 +199,29 @@ class _Csp:
                 self.start[v] &= 1 << a
 
     def _propagate(self, dom, stack, trail) -> bool:
-        """Shrink domains to the fixpoint of the four rules, starting from
+        """Shrink domains to the fixpoint of the three rules, starting from
         the vertices in stack.  Every change is logged on trail as (vertex,
         old domain).  A wipeout returns False and leaves its partial
         changes on trail for the caller to undo.
 
         An arc side whose support is the whole target removes nothing and
-        is skipped (the no-op revisions of AC-3).  The three difference
-        rules read the popped vertex v's partners and protected
-        neighbourhoods, each without v itself.  A singleton v takes its
-        value from its partners.  A two-valued v looks in each
-        neighbourhood for a twin, another member with the same two values:
+        is skipped (the no-op revisions of AC-3).  The two difference rules
+        read the popped vertex v's partners and protected neighbourhoods,
+        each without v itself.  A singleton v takes its value from its
+        partners.  A two-valued v looks in each neighbourhood of three or
+        more members for a twin, another member with the same two values:
         the two use both values up, so the other members lose them (the
-        naked-pair rule), and when v and the twin are both in-neighbours,
-        or both out-neighbours, of the centre, the centre may take only
-        values that both of the two values reach (the pair-union rule).
-        Each rule's premise holds only once some vertex reaches that
-        domain, and that vertex is then pushed, so the fixpoint, and with
-        it every node count, is the one all rules reach in any order.  A
-        pair with a singleton member is never a twin: the singleton rule
-        and the arc rules force its common neighbours as far as the
-        pair-union rule would.  The naked-pair rule removes only values no
-        solution uses, and the members of a neighbourhood are pairwise
-        constraint neighbours, so it never reaches across the parts a
-        decision splits off."""
+        naked-pair rule); a neighbourhood of two has no other member to
+        prune.  Each rule's premise holds only once some vertex reaches
+        that domain, and that vertex is then pushed, so the fixpoint, and
+        with it every node count, is the one all rules reach in any order.
+        The naked-pair rule removes only values no solution uses, and the
+        members of a neighbourhood are pairwise constraint neighbours, so
+        it never reaches across the parts a decision splits off."""
         out_support = self.target.out_support
         in_support = self.target.in_support
-        out_masks = out_support.masks
-        in_masks = in_support.masks
         out_nbrs = self.g.out_nbrs
         in_nbrs = self.g.in_nbrs
-        arcs = self.g.arcs
         full = self.target.full
         nbhds_at = self.nbhds_at
         partners = self.partners
@@ -281,29 +270,12 @@ class _Csp:
             if dv.bit_count() != 2:
                 continue
             keep = ~dv
-            for centre, others in nbhds_at[v]:
+            for others in nbhds_at[v]:
                 for twin in others:  # a twin on v's two values
                     if dom[twin] == dv:
                         break
                 else:
                     continue
-                if (v, centre) in arcs and (twin, centre) in arcs:
-                    masks = out_masks  # the centre is a common head
-                elif (centre, v) in arcs and (centre, twin) in arcs:
-                    masks = in_masks  # a common tail
-                else:
-                    masks = None  # mixed sides, or the twin is the centre
-                if masks is not None:
-                    x = (dv & -dv).bit_length() - 1  # v's two values
-                    y = dv.bit_length() - 1
-                    dw = dom[centre]
-                    nd = dw & masks[x] & masks[y]
-                    if nd != dw:
-                        if not nd:
-                            return False
-                        log((centre, dw))
-                        dom[centre] = nd
-                        stack.append(centre)
                 for w in others:  # the others lose both values
                     dw = dom[w]
                     if dw & dv and w != twin:

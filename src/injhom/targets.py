@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 from .graphs import OrientedGraph, is_tournament, transitive_tournament
 
-_NAME_RE = re.compile(r"^(T[123]|C3|U(?P<m>\d+))(?P<refl>r?)$")
+# matched whole and with ASCII digits only: "$" also matches before a
+# trailing newline, and "\d" matches any Unicode digit
+_NAME_RE = re.compile(r"(T[123]|C3|U(?P<m>[0-9]+))(?P<refl>r?)")
 U_MAX = 100  # largest U<m>: 4,950 arcs, built in milliseconds
 
 
@@ -48,7 +50,7 @@ class TargetSpec:
 
 
 def _parse_name(text: str):
-    m = _NAME_RE.match(text)
+    m = _NAME_RE.fullmatch(text)
     if not m:
         raise ValueError(
             f"unknown target {text!r}; expected T1|T2|T3|C3|U<m> with optional r suffix"

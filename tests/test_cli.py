@@ -380,6 +380,13 @@ def test_unknown_target_message(write, capsys):
     code, _, err = run(capsys, "decide", path, "T9", "ios")
     assert code == 2
     assert "expected T1|T2|T3|C3|U<m> with optional r suffix" in err
+    # a name with a trailing newline, or with a non-ASCII digit, is no
+    # spelling of T3 or U4
+    claw = write("claw.txt", format_edge_list(OrientedGraph(4, [(0, 1), (0, 2), (3, 0)])))
+    for bad in ("T3\n", "U\u0664"):
+        code, out, err = run(capsys, "decide", claw, bad, "ios")
+        assert code == 2 and out == "", bad
+        assert f"unknown target {bad!r}" in err, bad
 
 
 def test_huge_u_target_is_refused_before_building(write, capsys, monkeypatch):

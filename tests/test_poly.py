@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -447,6 +448,38 @@ def test_streamed_dp_matches_whole_walk_reference():
     assert inner_starts > 10
     assert sum(1 for tried, closed in tries if closed and tried > 1) > 10
     assert sum(1 for tried, closed in tries if not closed and tried > 1) > 10
+
+
+def test_decide_matches_the_search_on_medium_random_graphs():
+    # the decide route, decide_poly or else solve, answers every named
+    # target family and a custom tournament as the search does, on 10 to
+    # 40 vertices: half paths and cycles, which the DP takes, half sparse
+    # graphs that branch, a tenth of all reflexive
+    rng = random.Random(2727)
+    custom = TargetSpec.from_graph(OrientedGraph(5, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (2, 3),
+                                                     (4, 0), (1, 4), (4, 2), (3, 4)]))
+    specs = [TargetSpec.parse(name) for name in NAMED] + [custom]
+    answers = collections.Counter()  # (routed by decide_poly, verdict)
+    for trial in range(300):
+        if trial % 2:
+            g = _paths_and_cycles(rng, 40)
+        else:
+            n = rng.randint(10, 40)
+            g = random_oriented_graph(n, rng, arc_chance=rng.uniform(1, 4) / n)
+        if rng.random() < 0.1:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        for spec in specs:
+            h = spec.build()
+            for mode in (Mode.IOS, Mode.IOT):
+                want = solve(g, h, mode)
+                got = decide_poly(g, spec, mode) or want
+                answers[got is not want, want.satisfiable] += 1
+                assert got.satisfiable == want.satisfiable, (trial, spec, mode)
+                for res in (got, want):
+                    if res.satisfiable:
+                        assert check_hom(g, h, res.witness.map, mode), (trial, spec, mode, res.algorithm)
+    # both routes met YES and NO instances in numbers
+    assert len(answers) == 4 and min(answers.values()) > 250, answers
 
 
 def _counting_walks(monkeypatch):

@@ -25,6 +25,8 @@ from injhom.reductions import (
     bridged_cubic_graph,
     complete_bipartite,
     complete_graph,
+    oracle_3col,
+    oracle_3edge,
     prism_graph,
     reduce_3col_to_ios_c3r,
     reduce_3col_to_iot_c3r,
@@ -121,26 +123,18 @@ def _ref_protected_pairs(g, mode):
 
 
 def _ref_graph_side(g, mode):
-    """diff_adj, constraint_nbrs and pairs_at from the sorted pairs, with
-    each pair's common heads and tails by set intersection."""
+    """diff_adj and constraint_nbrs from the sorted pairs."""
     diff_adj = [[] for _ in range(g.n)]
     nbrs = [set() for _ in range(g.n)]
     for u, v in g.arcs:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    pairs_at = [[] for _ in range(g.n)]
     for a, b in _ref_protected_pairs(g, mode):
         diff_adj[a].append(b)
         diff_adj[b].append(a)
         nbrs[a].add(b)
         nbrs[b].add(a)
-        heads = sorted(set(g.out_nbrs[a]).intersection(g.out_nbrs[b]))
-        tails = sorted(set(g.in_nbrs[a]).intersection(g.in_nbrs[b]))
-        if heads or tails:
-            entry = (a, b, tuple(heads), tuple(tails))
-            pairs_at[a].append(entry)
-            pairs_at[b].append(entry)
-    return diff_adj, [sorted(s) for s in nbrs], pairs_at
+    return diff_adj, [sorted(s) for s in nbrs]
 
 
 def _ref_nbhds_at(g, mode):
@@ -171,7 +165,7 @@ def _ref_others_at(g, mode):
 
 
 def _sorted_nbhds_at(csp):
-    return [[(centre, tuple(sorted(others))) for centre, others in entries] for entries in csp.nbhds_at]
+    return [[tuple(sorted(others)) for others in entries] for entries in csp.nbhds_at]
 
 
 def test_graph_side_matches_per_pair_derivation():
@@ -184,10 +178,11 @@ def test_graph_side_matches_per_pair_derivation():
             assert _protected_pairs(g, mode) == _ref_protected_pairs(g, mode), (trial, mode)
             csp = _Csp(g, C3r, mode)
             assert csp.constraint_nbrs == _ref_graph_side(g, mode)[1], (trial, mode)
-            assert _sorted_nbhds_at(csp) == _ref_others_at(g, mode), (trial, mode)
-            # the singleton rule walks the partners, the pair rules the
-            # entries: the same vertices in the same order
-            assert csp.partners == [[w for _, o in e for w in o] for e in csp.nbhds_at], (trial, mode)
+            others_at = _ref_others_at(g, mode)
+            # the naked-pair rule walks the neighbourhoods of three or more
+            # members, the singleton rule the partners of all of them
+            assert _sorted_nbhds_at(csp) == [[o for _, o in e if len(o) > 1] for e in others_at], (trial, mode)
+            assert [sorted(p) for p in csp.partners] == [sorted(w for _, o in e for w in o) for e in others_at], (trial, mode)
 
 
 def _propagated(g, h, mode, dom, changed):
@@ -214,44 +209,23 @@ def test_naked_pair_takes_both_values_from_the_third_member():
         assert _propagated(g, T3r, Mode.IOS, start, [1, 2]) == _propagated(g, T3r, Mode.PLAIN, start, [1, 2])
 
 
-def test_pair_union_cuts_the_common_head():
-    # hat 0 -> 1 <- 2 under ios: with both tails on {0, 1} they take both
-    # values, so the head may take only what 0 and 1 both reach in T3r
-    start = [0b011, 0b111, 0b011]
-    assert _propagated(hat(), T3r, Mode.PLAIN, start, [0, 2]) == start
-    assert _propagated(hat(), T3r, Mode.IOS, start, [0, 2]) == [0b011, 0b110, 0b011]
-    # 0 -> 1 -> 2 under iot: the twins sit on both sides of the centre,
-    # which is then no common head or tail
-    g = directed_path(3)
-    want = _propagated(g, T3r, Mode.PLAIN, start, [0, 2])
-    assert _propagated(g, T3r, Mode.IOT, start, [0, 2]) == want
-    # a reflexive arc 0 -> 1: the twin of 0 in 1's closed in-neighbourhood
-    # is the centre itself, which is no head of the pair
-    g = OrientedGraph(2, [(0, 1)], reflexive=True)
-    for mode in (Mode.IOS, Mode.IOT):
-        assert _propagated(g, T3r, mode, [0b011, 0b011], [0, 1]) == [0b011, 0b011]
-
-
 def test_groups_are_the_protected_neighbourhoods():
     # 1 -> 0 -> 2, 0 -> 3: under iot 0's neighbourhood is {1, 2, 3};
     # under ios only its out-neighbourhood has two members
     g = OrientedGraph(4, [(1, 0), (0, 2), (0, 3)])
-    # each member holds the neighbourhood without itself
+    # each member of a neighbourhood of three holds the other two
     csp = _Csp(g, T3r, Mode.IOT)
-    assert _sorted_nbhds_at(csp) == [[], [(0, (2, 3))], [(0, (1, 3))], [(0, (1, 2))]]
+    assert _sorted_nbhds_at(csp) == [[], [(2, 3)], [(1, 3)], [(1, 2)]]
     assert csp.partners == [[], [2, 3], [1, 3], [1, 2]]
+    # a neighbourhood of two reaches only the partners
     csp = _Csp(g, T3r, Mode.IOS)
-    assert _sorted_nbhds_at(csp) == [[], [], [(0, (3,))], [(0, (2,))]]
+    assert csp.nbhds_at == [[]] * 4
     assert csp.partners == [[], [], [3], [2]]
     # under loops a vertex is in its own neighbourhoods, and a partner that
     # shares two neighbourhoods with it appears twice
     g = OrientedGraph(3, [(1, 0), (2, 0)], reflexive=True)
     csp = _Csp(g, T3r, Mode.IOS)
-    assert _sorted_nbhds_at(csp) == [
-        [(0, (1, 2)), (1, (1,)), (2, (2,))],
-        [(0, (0, 2)), (1, (0,))],
-        [(0, (0, 1)), (2, (0,))],
-    ]
+    assert _sorted_nbhds_at(csp) == [[(1, 2)], [(0, 2)], [(0, 1)]]
     assert csp.partners == [[1, 2, 1, 2], [2, 0, 0], [1, 0, 0]]
     # plain mode protects nothing
     csp = _Csp(in_star().graph, T3r, Mode.PLAIN)
@@ -604,6 +578,42 @@ def test_t3r_hardness_instances_decided_by_parts():
     assert solve(reduce_3edge_to_t3r(complete_bipartite(3, 3)).graph, T3r, Mode.IOS).nodes_explored == 58
 
 
+# the nodes each paper graph's instances take today: ios C3r, iot C3r,
+# ios T3r, iot T3r, U4 and U6
+PAPER_GRAPH_NODES = {
+    "K4": (33, 159, 39, 27, 2, 6),
+    "K33": (18, 12, 58, 40, 3, 9),
+    "prism": (28, 33, 57, 39, 2, 8),
+    "bridged": (36, 26, 10, 10, 3, 4),
+    "Petersen": (48, 68, 22, 22, 7, 8),
+}
+
+
+def test_paper_graph_instances_take_no_more_nodes():
+    # a ratchet: a change to propagation or search may lower these counts,
+    # never raise them, and every verdict is the source problem's
+    graphs = {"K4": complete_graph(4), "K33": complete_bipartite(3, 3), "prism": prism_graph(),
+              "bridged": bridged_cubic_graph(), "Petersen": petersen()}
+    for name, src in graphs.items():
+        colourable, edge_colourable = oracle_3col(src), oracle_3edge(src)
+        cases = (
+            (reduce_3col_to_ios_c3r(src), colourable),
+            (reduce_3col_to_iot_c3r(src), colourable),
+            (reduce_3edge_to_t3r(src, Mode.IOS), edge_colourable),
+            (reduce_3edge_to_t3r(src, Mode.IOT), edge_colourable),
+            (reduce_3edge_to_u4(src), edge_colourable),
+            (reduce_3edge_to_um(src, 6), edge_colourable),
+        )
+        for (inst, want), most in zip(cases, PAPER_GRAPH_NODES[name]):
+            h = build_named(inst.target)
+            res = solve(inst.graph, h, inst.mode)
+            case = (name, inst.target, inst.mode, res.nodes_explored)
+            assert res.satisfiable == want, case
+            assert res.nodes_explored <= most, case
+            if want:
+                assert check_hom(inst.graph, h, res.witness.map, inst.mode), case
+
+
 def test_c3r_colouring_instance_decided_by_parts():
     # 230 nodes; a search that never splits takes 17,406 on this instance
     inst = reduce_3col_to_iot_c3r(random_cubic(24, 3))
@@ -933,11 +943,10 @@ class RecursiveSearch:
     """The search as one recursion per level, copying every domain at every
     node and scanning every vertex for the branch choice.  The solver's
     explicit-stack search must yield the same solutions in the same order
-    after the same number of nodes.  It keeps the rules as three
-    structures derived here from the graph (must-differ partners, pairs
-    with their common heads and tails, and neighbourhoods of three or
-    more), not the solver's one list of neighbourhoods; the value masks
-    are rebuilt from the target.  Only the start domains and the
+    after the same number of nodes.  It keeps the rules as two structures
+    derived here from the graph (must-differ partners and neighbourhoods
+    of three or more), not the solver's lists; the value masks are rebuilt
+    from the target.  Only the start domains and the
     infeasible flag come from _Csp."""
 
     def __init__(self, g, h, mode, pins=None):
@@ -945,7 +954,7 @@ class RecursiveSearch:
         self.g = g
         self.h = h
         self.nodes = 0
-        self.diff_adj, self.constraint_nbrs, self.pairs_at = _ref_graph_side(g, mode)
+        self.diff_adj, self.constraint_nbrs = _ref_graph_side(g, mode)
         self.groups_at = [[m for _, m in entries if len(m) > 2] for entries in _ref_nbhds_at(g, mode)]
         self.out_mask = [0] * h.n
         self.in_mask = [0] * h.n
@@ -995,29 +1004,6 @@ class RecursiveSearch:
                             return False
                         dom[w] = nd
                         stack.append(w)
-            for a, b, heads, tails in self.pairs_at[v]:
-                union = dom[a] | dom[b]
-                if union.bit_count() != 2:
-                    continue
-                x = union & -union
-                y = union ^ x
-                both_out = out_mask[x.bit_length() - 1] & out_mask[y.bit_length() - 1]
-                for w in heads:
-                    nd = dom[w] & both_out
-                    if nd != dom[w]:
-                        if not nd:
-                            return False
-                        dom[w] = nd
-                        stack.append(w)
-                if tails:
-                    both_in = in_mask[x.bit_length() - 1] & in_mask[y.bit_length() - 1]
-                    for w in tails:
-                        nd = dom[w] & both_in
-                        if nd != dom[w]:
-                            if not nd:
-                                return False
-                            dom[w] = nd
-                            stack.append(w)
             # two members of a group on the same two values use them up
             for group in self.groups_at[v]:
                 for a, b in itertools.combinations(group, 2):

@@ -40,6 +40,10 @@ def test_unknown_name_message():
     for bad in ("", "C4", "u4", "T3rr", "U3"):
         with pytest.raises(ValueError):
             build_named(bad)
+    # the whole name is matched, with ASCII digits only
+    for bad in ("T3\n", "C3r\n", "U4\n", "U\u0664", "U\u0664r", "T\u0663"):
+        with pytest.raises(ValueError, match="unknown target"):
+            TargetSpec.parse(bad)
 
 
 def test_u_tournament_structure():
