@@ -180,7 +180,7 @@ class _ColourSearch:
         n = g.n
         self.proper = proper
         diffs = [set() for _ in range(n)]
-        for _, members in _neighbourhoods(g, mode):
+        for members in _neighbourhoods(g, mode):
             for w in members:
                 diffs[w].update(members)
         diffs = [sorted(d - {v}) for v, d in enumerate(diffs)]

@@ -18,6 +18,7 @@ from .fileformat import (
     format_edge_list,
     parse_edge_list,
     parse_undirected_edge_list,
+    read_decimal,
 )
 from .gadgets import GADGET_BUILDERS
 from .graphs import Mode, OrientedGraph
@@ -83,9 +84,10 @@ def _parse_pins(spec: TargetSpec, texts) -> dict:
     pins = {}
     for text in texts or ():
         vertex, eq, label = text.partition("=")
-        if not eq or not vertex.isdecimal():
-            raise ValueError(f"bad pin {text!r}; expected VERTEX=LABEL")
-        v = int(vertex)
+        try:
+            v = read_decimal(vertex if eq else "")
+        except ValueError:
+            raise ValueError(f"bad pin {text!r}; expected VERTEX=LABEL") from None
         if v in pins:
             raise ValueError(f"vertex {v} pinned twice")
         pins[v] = label_index(spec, label)
@@ -210,7 +212,7 @@ def _cmd_verify(args) -> int:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = read_decimal(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="emit a named gadget as an edge list")
     p.add_argument("name", help=f"one of: {', '.join(sorted(GADGET_BUILDERS))}")
-    p.add_argument("params", nargs="*", type=int, help="size parameter, where applicable")
+    p.add_argument("params", nargs="*", type=_positive_int, help="size parameter, where applicable")
     p.add_argument("--emit", metavar="PATH", help="write here instead of stdout")
     p.set_defaults(fn=_cmd_gadget)
 
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=sorted(_REDUCE_KINDS))
     p.add_argument("input", help="edge-list file (undirected for colouring kinds)")
     p.add_argument("--out", required=True, metavar="PATH")
-    p.add_argument("--m", type=int, help="tournament size for U-family kinds (default 4)")
+    p.add_argument("--m", type=_positive_int, help="tournament size for U-family kinds (default 4)")
     p.add_argument("--mode", help="ios | iot (3edge-to-t3r only; default ios)")
     p.set_defaults(fn=_cmd_reduce)
 

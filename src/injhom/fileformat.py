@@ -3,6 +3,7 @@
 Layout: an optional run of comment lines (starting with '#') or blank
 lines anywhere, a header ``n m`` optionally followed by the word
 ``reflexive``, then exactly m lines ``u v`` of 0-based arc endpoints.
+Counts and endpoints are ASCII decimal digits, leading zeros allowed.
 The same layout doubles for undirected graphs, where each line is an
 edge and the reflexive token is not allowed.
 
@@ -39,6 +40,15 @@ class EdgeListError(ValueError):
         self.lineno = lineno
 
 
+def read_decimal(text: str) -> int:
+    """The number text spells in ASCII digits, leading zeros allowed; a
+    sign, '_', spaces or other scripts' digits, which int() reads, raise
+    ValueError.  Every number from outside the program is read here."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected decimal digits, got {text!r}")
+    return int(text)
+
+
 def _data_lines(lines, start: int = 1):
     for lineno, raw in enumerate(lines, start=start):
         line = raw.strip()
@@ -59,11 +69,9 @@ def _parse_header(lineno: int, line: str, allow_reflexive: bool):
     else:
         raise EdgeListError(lineno, f"expected header 'n m [reflexive]', got {line!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = read_decimal(parts[0]), read_decimal(parts[1])
     except ValueError:
-        raise EdgeListError(lineno, f"header counts must be integers, got {line!r}") from None
-    if n < 0 or m < 0:
-        raise EdgeListError(lineno, "header counts must be nonnegative")
+        raise EdgeListError(lineno, f"header counts must be decimal digits, got {line!r}") from None
     if n > MAX_VERTICES:
         raise EdgeListError(lineno, f"at most {MAX_VERTICES} vertices allowed, header asks for {n}")
     return n, m, reflexive
@@ -90,12 +98,12 @@ def _strict_parse(text: str, allow_reflexive: bool):
     reflexive = len(header) == 3 and header[2] == "reflexive"
     if reflexive and allow_reflexive:
         del header[2]
-    if len(header) != 2 or not all(map(str.isdigit, header)):
+    if len(header) != 2:
         return None
     if body and not body.endswith("\n"):
         body += "\n"
     try:
-        n, m = map(int, header)  # "²" is a digit, but int rejects it
+        n, m = map(read_decimal, header)
         if n > MAX_VERTICES:
             return None  # the line loop reports it
         # only digits, ' ' and '\n' in the layout of m lines 'digits digits'
@@ -125,9 +133,9 @@ def _parse_body(lines, n: int, m: int, directed: bool):
         if len(parts) != 2:
             raise EdgeListError(lineno, f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = read_decimal(parts[0]), read_decimal(parts[1])
         except ValueError:
-            raise EdgeListError(lineno, f"endpoints must be integers, got {line!r}") from None
+            raise EdgeListError(lineno, f"endpoints must be decimal digits, got {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError(lineno, f"endpoint out of range 0..{n - 1}: {line!r}")
         if u == v:

@@ -21,6 +21,12 @@ from typing import Iterable, Iterator
 MAX_VERTICES = 10**6
 
 
+def check_vertex_count(n) -> None:
+    """Raise ValueError unless n is a nonnegative int."""
+    if not (isinstance(n, int) and n >= 0):
+        raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
+
+
 class Mode(enum.Enum):
     """Which local-injectivity constraint a homomorphism must satisfy.
 
@@ -78,8 +84,7 @@ class OrientedGraph:
         return g
 
     def _validate(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        check_vertex_count(self.n)
         for u, v in self.arcs:
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise ValueError(f"arc endpoints must be ints, got ({u!r}, {v!r})")
@@ -149,17 +154,9 @@ def disjoint_union(g: OrientedGraph, h: OrientedGraph) -> OrientedGraph:
     return OrientedGraph._checked(g.n + h.n, arcs, g.reflexive)
 
 
-def degrees(g: OrientedGraph) -> list:
-    """Per-vertex (in-degree, out-degree), loops not counted."""
-    return [(len(g.in_nbrs[v]), len(g.out_nbrs[v])) for v in range(g.n)]
-
-
 def max_degrees(g: OrientedGraph) -> tuple:
-    """(max in-degree, max out-degree); (0, 0) for the empty graph."""
-    if g.n == 0:
-        return (0, 0)
-    ds = degrees(g)
-    return (max(d for d, _ in ds), max(d for _, d in ds))
+    """(max in-degree, max out-degree), loops not counted; (0, 0) if empty."""
+    return max(map(len, g.in_nbrs), default=0), max(map(len, g.out_nbrs), default=0)
 
 
 # --- small constructors used throughout tests and demos ---

@@ -10,25 +10,26 @@ mask; the per-state masks it unions are built once per target from the
 search's per-value masks.  Each walk's moves are built and stepped in
 chunks of doubling size, from all of its start states at once, and the
 walk stops at its first empty layer: a no that shows within a few
-vertices builds and steps only those.  That pass is a path's DP, and its witness is traced back through
-it.  A cycle's walk goes on through its closing arc and its first arc
-again, so closing takes two more steps of the same walk.  Its start
-states are tried in turn, each alone, and one works when the last layer
-of its own pass holds it.  The lowest goes first, before the all-states
-pass; after it, only the start states that the all-states pass ends in
-can close, so only those are tried.
+vertices builds and steps only those.  That pass is a path's DP, and its
+witness is traced back through it.  A cycle's walk goes on through its
+closing arc and its first arc again, so closing takes two more steps of
+the same walk.  Its start states are tried in turn, each alone, and one
+works when the last layer of its own pass holds it.  The lowest goes
+first, before the all-states pass; after it, only the start states that
+the all-states pass ends in can close, so only those are tried.
 One pass over the arcs fills two flat lists, each vertex's first and
 second walk neighbour (unsorted, -1 for none), and stops at the first
-vertex with a third, so this route builds no list per vertex and no in-,
-out- or sorted neighbour lists.  Where the input branches, the tractable pairs -- T1,
-T2, C3, T3 (where the ios and iot questions coincide), T1r under both
-modes and T2r under iot -- answer no, since none of them leaves a vertex
-room for three neighbours.  T2r under ios is 2-SAT, and the search
-decides it: against a two-vertex target its propagation is 2-SAT's unit
-propagation, and it never retries a decision that propagated cleanly.
-Everything else -- the reflexive triangle, T3r, the whole U family,
-custom targets, plain mode and reflexive inputs -- is left to the
-search (None).  Every yes answer carries a witness.
+vertex with a third, so this route builds no list per vertex and no
+in-, out- or sorted neighbour lists.  Where the input branches, the
+tractable pairs -- T1, T2, C3, T3 (where the ios and iot questions
+coincide), T1r under both modes and T2r under iot -- answer no, since
+none of them leaves a vertex room for three neighbours.  T2r under ios
+is 2-SAT, and the search decides it: against a two-vertex target its
+propagation is 2-SAT's unit propagation, and it never retries a
+decision that propagated cleanly.  Everything else -- the reflexive
+triangle, T3r, the whole U family, custom targets, plain mode and
+reflexive inputs -- is left to the search (None).  Every yes answer
+carries a witness.
 
 An answer is a solver.SolveResult, as the search's are, with its
 algorithm label; the DP and the degree rule report 0 nodes, and the

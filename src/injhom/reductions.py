@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .chromatic import FLAVOURS, canonical_flavour
 from .gadgets import antidirected_cycle, apex_cycle, equalizer, in_star, selector_cycle
-from .graphs import MAX_VERTICES, Mode, OrientedGraph, disjoint_union
+from .graphs import MAX_VERTICES, Mode, OrientedGraph, check_vertex_count, disjoint_union, max_degrees
 from .targets import build_named, check_u_size
 
 
@@ -36,6 +36,7 @@ class SimpleGraph:
     edge_order: tuple | None = None
 
     def __init__(self, n: int, edges, edge_order=None):
+        check_vertex_count(n)
         norm = set()
         for u, v in edges:
             if u == v:
@@ -188,9 +189,6 @@ class _Builder:
         self.prov[key] = table
         self.arcs.extend((place[u], place[v]) for u, v in arcs)
         return table
-
-    def arc(self, u: int, v: int) -> None:
-        self.arcs.append((u, v))
 
     def instance(self, source_kind: str, target: str, mode: Mode) -> ReductionInstance:
         # each block's arcs are a valid graph's, placed one-to-one on fresh
@@ -351,7 +349,7 @@ def reduce_ios_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
     check_u_size(m)
     if g.reflexive:
         raise ValueError("input must be irreflexive")
-    if any(d > 2 for pair in ((g.in_degree(v), g.out_degree(v)) for v in range(g.n)) for d in pair):
+    if max(max_degrees(g)) > 2:
         raise ValueError("reduction needs in- and out-degrees at most 2")
     b = _Builder()
     for x in range(g.n):
@@ -361,7 +359,7 @@ def reduce_ios_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
         arcs = [(p + 1, 0) for p in range(pendants)]
         b.block(("vertex", x), 1 + pendants, roles, arcs)
     for u, v in sorted(g.arcs):
-        b.arc(b.prov[("vertex", u)]["x"], b.prov[("vertex", v)]["x"])
+        b.arcs.append((b.prov[("vertex", u)]["x"], b.prov[("vertex", v)]["x"]))
     return b.instance("ios-C3r", f"U{m}r", Mode.IOS)
 
 
@@ -391,7 +389,7 @@ def reduce_iot_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
                 pos += 1
         b.block(("vertex", x), pos, roles, arcs)
     for u, v in sorted(g.arcs):
-        b.arc(b.prov[("vertex", u)]["x"], b.prov[("vertex", v)]["x"])
+        b.arcs.append((b.prov[("vertex", u)]["x"], b.prov[("vertex", v)]["x"]))
     return b.instance("iot-C3r", f"U{m}r", Mode.IOT)
 
 
@@ -424,20 +422,17 @@ def colouring_instance(g: OrientedGraph, k: int, flavour: str):
 _ORACLE_CAP = 20
 
 
-def oracle_k_colouring(g: SimpleGraph, k: int):
-    """Exhaustive proper k-colouring search; returns a colour list or
-    None.  Capped at 20 vertices."""
-    if g.n > _ORACLE_CAP:
-        raise ValueError(f"oracle size cap exceeded: {g.n} > {_ORACLE_CAP} vertices")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    nbrs = [g.neighbours(v) for v in range(g.n)]
-    colours = [-1] * g.n
+def _first_colouring(nbrs, k: int):
+    """The lexicographically first proper k-colouring of the graph with
+    neighbour lists nbrs, or None, by backtracking in vertex order.  It
+    uses no colour before every lower one (a relabelling would be
+    smaller), so a vertex tries the colours in use and one more."""
+    colours = [-1] * len(nbrs)
 
     def place(v: int, used: int) -> bool:
-        if v == g.n:
+        if v == len(nbrs):
             return True
-        for c in range(min(k, used + 1)):  # first use of each colour in order
+        for c in range(min(k, used + 1)):
             if all(colours[w] != c for w in nbrs[v]):
                 colours[v] = c
                 if place(v + 1, max(used, c + 1)):
@@ -445,7 +440,17 @@ def oracle_k_colouring(g: SimpleGraph, k: int):
         colours[v] = -1
         return False
 
-    return list(colours) if place(0, 0) else None
+    return colours if place(0, 0) else None
+
+
+def oracle_k_colouring(g: SimpleGraph, k: int):
+    """Exhaustive proper k-colouring search; returns the lexicographically
+    first colour list or None.  Capped at 20 vertices."""
+    if g.n > _ORACLE_CAP:
+        raise ValueError(f"oracle size cap exceeded: {g.n} > {_ORACLE_CAP} vertices")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return _first_colouring([g.neighbours(v) for v in range(g.n)], k)
 
 
 def oracle_3col(g: SimpleGraph) -> bool:
@@ -457,28 +462,14 @@ def oracle_3edge(g: SimpleGraph) -> bool:
 
 
 def find_3edge_colouring(g: SimpleGraph):
-    """Exhaustive proper 3-edge-colouring; returns {edge: colour} or None.
-    Capped at 20 vertices."""
+    """Exhaustive proper 3-edge-colouring, as a 3-colouring of the line
+    graph on the sorted edges; returns {edge: colour} for the
+    lexicographically first one, or None.  Capped at 20 vertices."""
     if g.n > _ORACLE_CAP:
         raise ValueError(f"oracle size cap exceeded: {g.n} > {_ORACLE_CAP} vertices")
     edges = sorted(g.edges)
-    touching = [
-        [f for f in range(len(edges)) if f != e and set(edges[f]) & set(edges[e])]
-        for e in range(len(edges))
-    ]
-    colours = [-1] * len(edges)
-
-    def place(e: int) -> bool:
-        if e == len(edges):
-            return True
-        for c in range(3):
-            if all(colours[f] != c for f in touching[e]):
-                colours[e] = c
-                if place(e + 1):
-                    return True
-        colours[e] = -1
-        return False
-
-    if not place(0):
-        return None
-    return {edges[e]: colours[e] for e in range(len(edges))}
+    index = {e: i for i, e in enumerate(edges)}
+    # the edges that share an endpoint with (u, v): no other joins u to v
+    line = [[index[f] for f in g.incident(u) + g.incident(v) if f != (u, v)] for u, v in edges]
+    colours = _first_colouring(line, 3)
+    return None if colours is None else dict(zip(edges, colours))

@@ -12,11 +12,13 @@ protected neighbourhoods (the degree filter: a value's in- and
 out-degree, and under iot its whole neighbourhood, at least the
 vertex's, loops counted), then the pins apply.  No propagation rule
 derives this from whole-target domains, and it holds for deciding and
-enumerating alike.  Propagation has three rules, so the forcing gadgets
-collapse by unit propagation instead of search: arc support in both
-directions, singleton elimination and the naked-pair rule (two members
-of one protected neighbourhood on the same two values use both up, so
-its other members lose them: the size-two Hall sets of the all-different
+enumerating alike.  A search ends at the root with no solution only
+when some start domain is empty or root propagation empties one.
+Propagation has three rules, so the forcing gadgets collapse by unit
+propagation instead of search: arc support in both directions,
+singleton elimination and the naked-pair rule (two members of one
+protected neighbourhood on the same two values use both up, so its other
+members lose them: the size-two Hall sets of the all-different
 constraint).  Domains are bitmasks.  Each target value has an out- and
 an in-mask, its loop included; the values an arc neighbour may take are
 read from tables that map a domain mask to the union of its values'
@@ -43,7 +45,8 @@ the plain chronological order.
 
 Reflexive input graphs are accepted: a loop puts the vertex inside its
 own neighbourhoods (so its image must differ from its protected
-neighbours' images) and demands a reflexive target.
+neighbours' images), and against an irreflexive target every start
+domain is empty.
 
 Every decision route answers with a SolveResult: solve with its node
 count and the label "backtracking", poly.decide_poly with the label of
@@ -135,8 +138,8 @@ def check_hom(g: OrientedGraph, h: OrientedGraph, f, mode: Mode = Mode.PLAIN) ->
 
 
 def _neighbourhoods(g: OrientedGraph, mode: Mode) -> Iterator[tuple]:
-    """The neighbourhoods the mode protects that have two or more members,
-    as (centre, members): each in- and each out-neighbourhood under ios,
+    """The member tuples of the neighbourhoods the mode protects that have
+    two or more members: each in- and each out-neighbourhood under ios,
     the whole neighbourhood under iot, with the centre itself under loops.
     The mode makes each of them an all-different constraint."""
     if mode is Mode.PLAIN:
@@ -150,7 +153,7 @@ def _neighbourhoods(g: OrientedGraph, mode: Mode) -> Iterator[tuple]:
             sides = (ins + (x,), outs + (x,)) if loop else (ins, outs)
         for members in sides:
             if len(members) > 1:
-                yield x, members
+                yield members
 
 
 class _Csp:
@@ -160,19 +163,19 @@ class _Csp:
     of the protected neighbourhoods it belongs to, repeats kept), those of
     the neighbourhoods that have three or more members, each as the tuple
     of its other members, and its constraint neighbours (arc neighbours and
-    partners, once each)."""
+    partners, once each).  start holds the start domains, pins applied;
+    an empty one is the only NO that root propagation does not find."""
 
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
         self.h = h
         self.nodes = 0
-        self.infeasible = g.reflexive and not h.reflexive and g.n > 0
         self.target = target = _target(h)
         nbhds_at = [[] for _ in range(g.n)]
         partners = [[] for _ in range(g.n)]
         # most neighbourhoods of a hardness instance have two members;
         # those reach only the partners, unsliced
-        for _, members in _neighbourhoods(g, mode):
+        for members in _neighbourhoods(g, mode):
             if len(members) == 2:
                 a, b = members
                 partners[a].append(b)
@@ -289,9 +292,7 @@ class _Csp:
 
     def _root(self):
         """The domains after the pins and root propagation, or None when
-        they already leave no solution.  Needs a non-empty input."""
-        if self.h.n == 0 or self.infeasible:
-            return None
+        some start domain is empty or root propagation wipes one out."""
         dom = list(self.start)
         if not all(dom) or not self._propagate(dom, list(range(self.g.n)), []):
             return None
@@ -353,9 +354,6 @@ class _Csp:
         Comput. 5(4), 1976).
         """
         n = self.g.n
-        if n == 0:
-            yield ()
-            return
         dom = self._root()
         if dom is None:
             return
@@ -584,7 +582,10 @@ class _Target(dict):
         """Each vertex's start domain: under ios and iot the values with
         room for its protected neighbourhoods, one lookup per vertex,
         unless every value has room for the largest; the whole target
-        otherwise."""
+        otherwise.  A loop maps only onto a loop, so a looped input
+        starts on no value of an irreflexive target."""
+        if g.reflexive and not self.h.reflexive:
+            return [0] * g.n
         if mode is not Mode.PLAIN and g.n:
             ins = list(map(len, g.in_nbrs))
             outs = list(map(len, g.out_nbrs))

@@ -14,6 +14,7 @@ import functools
 import re
 from dataclasses import dataclass
 
+from .fileformat import read_decimal
 from .graphs import OrientedGraph, is_tournament, transitive_tournament
 
 # matched whole and with ASCII digits only: "$" also matches before a
@@ -121,13 +122,13 @@ def target_labels(spec) -> list:
 
 
 def label_index(spec, label: str) -> int:
-    """Inverse of target_labels, for parsing pins like v=c2; bare integers
-    are accepted too."""
+    """Inverse of target_labels, for parsing pins like v=c2; bare indices
+    in decimal digits are accepted too."""
     labels = target_labels(spec)
     if label in labels:
         return labels.index(label)
     try:
-        idx = int(label)
+        idx = read_decimal(label)
     except ValueError:
         raise ValueError(f"unknown target vertex {label!r}; expected one of {labels}") from None
     if not 0 <= idx < len(labels):

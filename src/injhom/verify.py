@@ -32,10 +32,6 @@ from .solver import check_hom, enumerate_homs, solve
 from .targets import TargetSpec, build_named
 
 
-def _x_class_roles(d: int) -> list:
-    return [f"x{3 * i + 1}" for i in range(d)]
-
-
 def suite_lemma_D() -> list:
     """Apex-cycle and selector-cycle forcing against the reflexive
     triangle."""
@@ -46,7 +42,7 @@ def suite_lemma_D() -> list:
         gad = apex_cycle(d)
         sols = list(enumerate_homs(gad.graph, C3r, Mode.IOS))
         out.append((f"apex_cycle({d}) -> C3r has 6 homs", len(sols) == 6))
-        cls = [gad.roles[r] for r in _x_class_roles(d)]
+        cls = [gad.roles[f"x{3 * i + 1}"] for i in range(d)]
         out.append(
             (f"apex_cycle({d}) x-class constant in every hom",
              all(len({s[v] for v in cls}) == 1 for s in sols)))

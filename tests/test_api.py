@@ -68,3 +68,52 @@ def test_names_the_benchmark_tracer_wraps_exist():
     missing = [(module.__name__, name) for module, names in wrapped.items()
                for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+
+def _defined_names(tree) -> list:
+    """The module-level functions, classes and constants of a module, and
+    the methods of its classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def _dead_private_names(sources: dict) -> list:
+    """(module, name) of each private name that _defined_names finds in
+    the modules of sources (module name -> source text) and that nothing
+    in them reads: no name, attribute or import of the same spelling."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted((module, name) for module, tree in trees.items() for name in _defined_names(tree)
+                  if name.startswith("_") and not name.endswith("__") and name not in read)
+
+
+def test_no_dead_private_names():
+    # a private name that only its own definition mentions is a dead entry
+    # point; public names are the API and may go unused inside the package
+    sample = {
+        "a": "_USED = 1\n_DEAD = 2\ndef _dead(): pass\nclass _Dead:\n"
+             "    def _gone(self): pass\n    def __len__(self): return _USED\n",
+        "b": "from a import _kept\ndef _kept(): pass\nclass K:\n    def _m(self): return self._m\n",
+    }
+    assert _dead_private_names(sample) == [("a", "_DEAD"), ("a", "_Dead"), ("a", "_dead"), ("a", "_gone")]
+    paths = sorted(Path(injhom.__file__).parent.rglob("*.py"))
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in paths}
+    assert _dead_private_names(sources) == []

@@ -218,7 +218,7 @@ def test_max_cardinality_order():
     for _ in range(30):
         g = random_oriented_graph(rng.randint(1, 12), rng, 0.3)
         nbrs = [set(g.underlying_nbrs[v]) for v in range(g.n)]
-        for _, members in _neighbourhoods(g, Mode.IOT):
+        for members in _neighbourhoods(g, Mode.IOT):
             for a, b in itertools.combinations(members, 2):
                 nbrs[a].add(b)
                 nbrs[b].add(a)

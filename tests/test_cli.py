@@ -173,6 +173,29 @@ def test_pin_given_twice_or_not_in_decimal_digits_is_a_usage_error(write, capsys
     assert "error: bad pin '\u00b2=c1'; expected VERTEX=LABEL" in err
 
 
+# each reads as a number to int() and as a YES to the command, with an
+# Arabic-Indic digit, a sign or an underscore in the number
+@pytest.mark.parametrize("argv", [
+    ("solve", "{path}", "T3", "ios", "--pin", "\u0660=t0"),
+    ("solve", "{path}", "T3", "ios", "--pin", "0=\u0662"),
+    ("solve", "{path}", "T3", "ios", "--pin", "0=+0"),
+    ("solve", "{path}", "T3", "ios", "--enumerate", "--limit", "\u0661"),
+    ("reduce", "3edge-to-um", "{k4}", "--out", "{out}", "--m", "\u0665"),
+    ("gadget", "B", "\u0666"),
+    ("gadget", "B", "1_0"),
+])
+def test_numbers_on_the_command_line_are_ascii_decimal_digits(write, capsys, tmp_path, argv):
+    names = {
+        "path": write("p3.txt", format_edge_list(directed_path(3))),
+        "k4": write("k4.txt", format_undirected_edge_list(4, complete_graph(4).edges)),
+        "out": str(tmp_path / "u5.txt"),
+    }
+    code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 2 and out == "" and err
+    assert not Path(names["out"]).exists()
+    assert run(capsys, "solve", names["path"], "T3", "ios", "--pin", "00=0")[0] == 0
+
+
 def test_gadget_stdout_and_roundtrip(write, capsys, tmp_path):
     code, out, _ = run(capsys, "gadget", "B", "8")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from injhom import fileformat
 from injhom.cli import main
 from injhom.fileformat import (
+    read_decimal,
     EdgeListError,
     format_edge_list,
     format_undirected_edge_list,
@@ -80,6 +81,28 @@ def test_error_kinds():
         parse_edge_list("-1 0\n")
 
 
+def test_read_decimal_takes_ascii_digits_only():
+    # int() reads a sign, underscores, spaces and other scripts' digits
+    for text in ("", " 1", "1 ", "+1", "-1", "1_0", "\u0661", "\uff11", "\u00b2", "1.0"):
+        with pytest.raises(ValueError):
+            read_decimal(text)
+    assert read_decimal("007") == 7
+    # the line loop keeps its leading zeros
+    assert parse_edge_list("02 1\n00 01\n") == OrientedGraph(2, [(0, 1)])
+
+
+# a bad spelling is an error on its own line, never another arc or count
+@pytest.mark.parametrize("text, lineno", [
+    ("11 1\n0 1_0\n", 2), ("2 1\n\u0660 \u0661\n", 2), ("2 1\n+0 1\n", 2),
+    ("1_1 1\n0 1\n", 1), ("# c\n\u0662 1\n0 1\n", 2),
+])
+def test_edge_list_numbers_are_ascii_decimal_digits(text, lineno):
+    for parse in (parse_edge_list, parse_undirected_edge_list):
+        with pytest.raises(EdgeListError, match="decimal digits") as exc:
+            parse(text)
+        assert exc.value.lineno == lineno, parse
+
+
 def test_vertex_count_bound():
     assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
     assert parse_undirected_edge_list(f"{MAX_VERTICES} 1\n0 1\n")[0] == MAX_VERTICES
@@ -122,6 +145,13 @@ def _ref_data_lines(text):
         yield lineno, line
 
 
+def _ref_decimal(token):
+    """int() restricted to the ten ASCII digits."""
+    if not token or token.strip("0123456789"):
+        raise ValueError(token)
+    return int(token)
+
+
 def _ref_parse_header(lineno, line, allow_reflexive):
     parts = line.split()
     if len(parts) == 3 and parts[2] == "reflexive":
@@ -134,11 +164,9 @@ def _ref_parse_header(lineno, line, allow_reflexive):
     else:
         raise EdgeListError(lineno, f"expected header 'n m [reflexive]', got {line!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = _ref_decimal(parts[0]), _ref_decimal(parts[1])
     except ValueError:
-        raise EdgeListError(lineno, f"header counts must be integers, got {line!r}") from None
-    if n < 0 or m < 0:
-        raise EdgeListError(lineno, "header counts must be nonnegative")
+        raise EdgeListError(lineno, f"header counts must be decimal digits, got {line!r}") from None
     return n, m, reflexive
 
 
@@ -152,9 +180,9 @@ def _ref_parse_body(lines, n, m, directed):
         if len(parts) != 2:
             raise EdgeListError(lineno, f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ref_decimal(parts[0]), _ref_decimal(parts[1])
         except ValueError:
-            raise EdgeListError(lineno, f"endpoints must be integers, got {line!r}") from None
+            raise EdgeListError(lineno, f"endpoints must be decimal digits, got {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError(lineno, f"endpoint out of range 0..{n - 1}: {line!r}")
         if u == v:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -453,6 +454,65 @@ def test_oracle_size_cap():
         oracle_k_colouring(big, 3)
     with pytest.raises(ValueError):
         find_3edge_colouring(big)
+
+
+def _product_first_colouring(n, clash, k):
+    """The first proper k-colouring of 0..n-1 in itertools.product order
+    (clash(i, j) for i < j says i and j must differ), or None: the
+    product walked in that order, jumping over each block of tuples that
+    share a prefix ending in a clash."""
+    colours = [0] * n
+    if n and not k:
+        return None
+    while True:
+        bad = next((j for j in range(n) if any(colours[i] == colours[j] and clash(i, j) for i in range(j))), None)
+        if bad is None:
+            return colours
+        while bad >= 0 and colours[bad] == k - 1:
+            bad -= 1
+        if bad < 0:
+            return None
+        colours[bad] += 1
+        colours[bad + 1:] = [0] * (n - bad - 1)
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return SimpleGraph(10, outer + spokes + inner)
+
+
+def test_oracles_find_the_first_colouring_in_product_order():
+    # both oracles answer with the lexicographically first colouring, the
+    # edge oracle's over the sorted edges, on seeded graphs and the five
+    # paper graphs
+    rng = random.Random(28)
+    graphs = [complete_graph(4), complete_bipartite(3, 3), prism_graph(), bridged_cubic_graph(), petersen_graph()]
+    for n in range(9):
+        for _ in range(15):
+            p = rng.random()
+            graphs.append(SimpleGraph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    found = 0
+    for g in graphs:
+        for k in range(5):
+            want = _product_first_colouring(g.n, lambda i, j: (i, j) in g.edges, k)
+            assert oracle_k_colouring(g, k) == want, (g, k)
+        edges = sorted(g.edges)
+        want = _product_first_colouring(len(edges), lambda i, j: not set(edges[i]).isdisjoint(edges[j]), 3)
+        assert find_3edge_colouring(g) == (None if want is None else dict(zip(edges, want))), g
+        found += want is not None
+    assert 0 < found < len(graphs)
+    assert oracle_3edge(petersen_graph()) is False
+
+
+def test_simple_graph_checks_its_vertex_count():
+    # a negative count used to build, and is_connected then indexed past
+    # the end; a float failed later with a TypeError
+    for n in (-1, 2.5, "3"):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            SimpleGraph(n, [])
+    assert SimpleGraph(0, []).is_connected()
 
 
 def test_oracle_rejects_a_negative_colour_count():

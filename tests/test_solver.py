@@ -97,7 +97,7 @@ def _protected_pairs(g, mode):
     """The unordered vertex pairs inside one of the neighbourhoods the
     solver protects."""
     return sorted({(a, b) if a < b else (b, a)
-                   for _, members in _neighbourhoods(g, mode)
+                   for members in _neighbourhoods(g, mode)
                    for a, b in itertools.combinations(members, 2)})
 
 
@@ -923,10 +923,31 @@ def test_no_values_skipped_against_two_vertex_targets(monkeypatch):
                 assert solve(g, h, mode) == _solve_without_orbits(monkeypatch, g, h, mode), (g, h, mode)
 
 
-def test_nodes_explored_reported():
-    g = directed_cycle(6)
-    res = solve(g, C3r, Mode.IOS)
-    assert res.nodes_explored >= 0
+def test_root_refutations_answer_no_with_no_nodes():
+    # a loop maps only onto a loop, nothing maps into the empty target,
+    # and three in-neighbours need a value with three, which C3r lacks:
+    # each is a start domain left empty, a NO before any node, with or
+    # without a pin; a bad pin is refused before any search
+    empty = OrientedGraph(0, ())
+    cases = [
+        (OrientedGraph(2, [(0, 1)], reflexive=True), T3, MODES),
+        (OrientedGraph(1, reflexive=True), T3, MODES),
+        (directed_path(2), empty, MODES),
+        (star(3, 0), C3r, (Mode.IOS, Mode.IOT)),
+    ]
+    for g, h, modes in cases:
+        for mode in modes:
+            assert naive_homs(g, h, mode) == [], (g, h, mode)
+            for pins in (None, {0: h.n - 1}) if h.n else (None,):
+                assert 0 in _Csp(g, h, mode, pins).start, (g, h, mode, pins)
+                res = solve(g, h, mode, pins=pins)
+                assert (res.satisfiable, res.witness, res.nodes_explored) == (False, None, 0), (g, h, mode, pins)
+                assert list(enumerate_homs(g, h, mode, pins=pins)) == [], (g, h, mode, pins)
+            for bad in ({g.n: 0}, {0: h.n}):
+                with pytest.raises(ValueError, match="pin"):
+                    solve(g, h, mode, pins=bad)
+                with pytest.raises(ValueError, match="pin"):
+                    next(enumerate_homs(g, h, mode, pins=bad))
 
 
 # --- reference: the recursive search that the iterative one replaced ---
@@ -946,8 +967,7 @@ class RecursiveSearch:
     after the same number of nodes.  It keeps the rules as two structures
     derived here from the graph (must-differ partners and neighbourhoods
     of three or more), not the solver's lists; the value masks are rebuilt
-    from the target.  Only the start domains and the
-    infeasible flag come from _Csp."""
+    from the target.  Only the start domains come from _Csp."""
 
     def __init__(self, g, h, mode, pins=None):
         self.csp = _Csp(g, h, mode, pins)
@@ -1020,11 +1040,6 @@ class RecursiveSearch:
         return True
 
     def solutions(self):
-        if self.g.n == 0:
-            yield ()
-            return
-        if self.h.n == 0 or self.csp.infeasible:
-            return
         dom = list(self.csp.start)
         if any(d == 0 for d in dom):
             return
