@@ -139,7 +139,7 @@ def _cmd_gadget(args) -> int:
 _REDUCE_KINDS = {
     "3col-to-ios-c3r": ("undirected", None, lambda g, _: reduce_3col_to_ios_c3r(g)),
     "3col-to-iot-c3r": ("undirected", None, lambda g, _: reduce_3col_to_iot_c3r(g)),
-    "3edge-to-t3r": ("undirected", "mode", lambda g, mode: reduce_3edge_to_t3r(g, Mode.parse(mode))),
+    "3edge-to-t3r": ("undirected", "mode", lambda g, mode: reduce_3edge_to_t3r(g, mode)),
     "3edge-to-um": ("undirected", "m", lambda g, m: reduce_3edge_to_um(g, m)),
     "ios-c3r-to-umr": ("oriented", "m", lambda g, m: reduce_ios_c3r_to_umr(g, m)),
     "iot-c3r-to-umr": ("oriented", "m", lambda g, m: reduce_iot_c3r_to_umr(g, m)),

@@ -43,6 +43,7 @@ class Mode(enum.Enum):
 
     @classmethod
     def parse(cls, text) -> "Mode":
+        """A member, or its name in any case; ValueError for anything else."""
         if isinstance(text, cls):
             return text
         try:

@@ -326,6 +326,7 @@ def decide_poly(g: OrientedGraph, target, mode: Mode):
     branching input is a no for a tabled pair, is decided by the search
     for T2r under ios (2-SAT there), and is left to the search otherwise.
     """
+    mode = Mode.parse(mode)
     spec = TargetSpec.parse(target) if isinstance(target, str) else target
     if not isinstance(spec, TargetSpec):
         spec = TargetSpec.from_graph(spec)

@@ -6,8 +6,10 @@ transformed oriented graph, the target/mode it is meant to be solved
 against, and a provenance table that partitions the new vertex set among
 the source objects (one entry per source vertex and per source edge).
 Gadgets are placed whole through one builder, which can glue a gadget's
-ports onto vertices already placed: each edge gadget joins its
-endpoints' gadgets through two ports glued to their port vertices.
+ports onto vertices already placed.  The four vertex-and-edge reducers
+share its join step: a gadget on each source vertex, and a block on each
+source edge glued to its endpoints' gadgets at the ports numbered by the
+edge's position in each endpoint's incident order.
 colouring_instance wraps a graph for a colouring flavour; the flavours
 are defined in chromatic.FLAVOURS.
 """
@@ -18,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chromatic import FLAVOURS, canonical_flavour
-from .gadgets import antidirected_cycle, apex_cycle, equalizer, in_star, selector_cycle
+from .gadgets import Gadget, antidirected_cycle, apex_cycle, equalizer, in_star, selector_cycle
 from .graphs import MAX_VERTICES, Mode, OrientedGraph, check_vertex_count, disjoint_union, max_degrees
 from .targets import build_named, check_u_size
 
@@ -39,6 +41,8 @@ class SimpleGraph:
         check_vertex_count(n)
         norm = set()
         for u, v in edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge endpoints must be ints, got ({u!r}, {v!r})")
             if u == v:
                 raise ValueError(f"loop at {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -190,6 +194,23 @@ class _Builder:
         self.arcs.extend((place[u], place[v]) for u, v in arcs)
         return table
 
+    def join(self, g: SimpleGraph, vertex_gadget, port, edge_block, ports) -> "_Builder":
+        """Place the vertex-and-edge construction on g.  Each vertex x, in
+        order, gets vertex_gadget(deg(x)), built once per degree.  Each
+        edge xy, in sorted order, gets the block edge_block = (size,
+        roles, arcs), whose two port vertices `ports` are glued to the
+        vertices of role port(i) in x's gadget and port(j) in y's, where
+        i and j are the edge's positions in x's and y's incident order."""
+        gadgets = {d: vertex_gadget(d) for d in set(map(g.degree, range(g.n)))}
+        at = []  # at[x][edge]: the vertex of x's gadget the edge's block is glued to
+        for x in range(g.n):
+            gad = gadgets[g.degree(x)]
+            table = self.block(("vertex", x), gad.graph.n, gad.roles, gad.graph.arcs)
+            at.append({e: table[port(i)] for i, e in enumerate(g.incident(x), 1)})
+        for e in sorted(g.edges):
+            self.block(("edge", e), *edge_block, {ports[0]: at[e[0]][e], ports[1]: at[e[1]][e]})
+        return self
+
     def instance(self, source_kind: str, target: str, mode: Mode) -> ReductionInstance:
         # each block's arcs are a valid graph's, placed one-to-one on fresh
         # vertices and on glued ones no block joins to each other, and each
@@ -213,18 +234,9 @@ def reduce_3col_to_ios_c3r(g: SimpleGraph) -> ReductionInstance:
     """
     if g.min_degree() < 3:
         raise ValueError("reduction needs minimum degree 3")
-    b = _Builder()
-    selectors = {d: selector_cycle(d) for d in set(map(g.degree, range(g.n)))}
-    for x in range(g.n):
-        gad = selectors[g.degree(x)]
-        b.block(("vertex", x), gad.graph.n, gad.roles, gad.graph.arcs)
     # a -> m <- b, fed by ports 3 -> a and 4 -> b glued to the links
-    bridge = {"a": 0, "m": 1, "b": 2}, [(0, 1), (2, 1), (3, 0), (4, 2)]
-    for w, z in sorted(g.edges):
-        i = g.edge_index(w, (w, z))
-        j = g.edge_index(z, (w, z))
-        glue = {3: b.prov[("vertex", w)][f"n{i}"], 4: b.prov[("vertex", z)][f"n{j}"]}
-        b.block(("edge", (w, z)), 5, *bridge, glue)
+    bridge = 5, {"a": 0, "m": 1, "b": 2}, [(0, 1), (2, 1), (3, 0), (4, 2)]
+    b = _Builder().join(g, selector_cycle, "n{}".format, bridge, (3, 4))
     return b.instance("vertex-3-colouring", "C3r", Mode.IOS)
 
 
@@ -237,22 +249,14 @@ def reduce_3edge_to_t3r(g: SimpleGraph, mode: Mode = Mode.IOS) -> ReductionInsta
     identified with the matching leaves, forcing both endpoints to agree
     on the edge's colour.
     """
+    mode = Mode.parse(mode)
     if mode not in (Mode.IOS, Mode.IOT):
         raise ValueError("mode must be ios or iot")
     if not g.is_cubic():
         raise ValueError("reduction needs a cubic graph")
-    b = _Builder()
-    star = in_star()
-    for x in range(g.n):
-        b.block(("vertex", x), star.graph.n, star.roles, star.graph.arcs)
     eq = equalizer()
-    u, v = eq.roles["u"], eq.roles["v"]
-    roles = {f"f{w}": w for w in range(eq.graph.n)}
-    for x, y in sorted(g.edges):
-        i = g.edge_index(x, (x, y))
-        j = g.edge_index(y, (x, y))
-        glue = {u: b.prov[("vertex", x)][f"leaf{i}"], v: b.prov[("vertex", y)][f"leaf{j}"]}
-        b.block(("edge", (x, y)), eq.graph.n, roles, eq.graph.arcs, glue)
+    block = eq.graph.n, {f"f{w}": w for w in range(eq.graph.n)}, eq.graph.arcs
+    b = _Builder().join(g, lambda d: in_star(), "leaf{}".format, block, (eq.roles["u"], eq.roles["v"]))
     return b.instance("cubic-3-edge-colouring", "T3r", mode)
 
 
@@ -269,24 +273,16 @@ def reduce_3col_to_iot_c3r(g: SimpleGraph) -> ReductionInstance:
         raise ValueError("reduction needs a connected graph")
     if g.min_degree() < 1:
         raise ValueError("reduction needs minimum degree 1")
-    b = _Builder()
-    cycles = {}  # size -> (roles, arcs), one gadget per size
-    for x in range(g.n):
-        size = 6 * g.degree(x)
-        if size not in cycles:
-            # relabel: x_k is raw vertex (k+1) mod size, putting every
-            # x_{6i} in the in-degree-2 class
-            roles = {f"x{k}": (k + 1) % size for k in range(size)}
-            cycles[size] = roles, antidirected_cycle(size).graph.arcs
-        b.block(("vertex", x), size, *cycles[size])
+
+    def cycle(d):
+        # x_k is raw vertex (k+1) mod size, putting every x_{6i} in the
+        # in-degree-2 class
+        size = 6 * d
+        return Gadget(antidirected_cycle(size).graph, {f"x{k}": (k + 1) % size for k in range(size)})
+
     # mid0 -> apex <- mid1, reached from ports 3 -> mid0 and 4 -> mid1
-    paths = {"mid0": 0, "mid1": 1, "apex": 2}, [(0, 2), (1, 2), (3, 0), (4, 1)]
-    for x, y in sorted(g.edges):
-        i = g.edge_index(x, (x, y))
-        j = g.edge_index(y, (x, y))
-        glue = {3: b.prov[("vertex", x)][f"x{6 * (i - 1)}"],
-                4: b.prov[("vertex", y)][f"x{6 * (j - 1)}"]}
-        b.block(("edge", (x, y)), 5, *paths, glue)
+    paths = 5, {"mid0": 0, "mid1": 1, "apex": 2}, [(0, 2), (1, 2), (3, 0), (4, 1)]
+    b = _Builder().join(g, cycle, lambda i: f"x{6 * (i - 1)}", paths, (3, 4))
     return b.instance("vertex-3-colouring", "C3r", Mode.IOT)
 
 
@@ -298,14 +294,10 @@ def reduce_3edge_to_u4(g: SimpleGraph) -> ReductionInstance:
     edge colours."""
     if not g.is_cubic():
         raise ValueError("reduction needs a cubic graph")
-    b = _Builder()
-    for x in range(g.n):
-        b.block(("vertex", x), 1, {"x": 0}, ())
     # v1 -> v2 -> v3 -> v4, with ports 4 -> v1 and 5 -> v4 glued to x and y
-    path = {"v1": 0, "v2": 1, "v3": 2, "v4": 3}, [(0, 1), (1, 2), (2, 3), (4, 0), (5, 3)]
-    for x, y in sorted(g.edges):
-        glue = {4: b.prov[("vertex", x)]["x"], 5: b.prov[("vertex", y)]["x"]}
-        b.block(("edge", (x, y)), 6, *path, glue)
+    path = 6, {"v1": 0, "v2": 1, "v3": 2, "v4": 3}, [(0, 1), (1, 2), (2, 3), (4, 0), (5, 3)]
+    point = Gadget(OrientedGraph(1), {"x": 0})
+    b = _Builder().join(g, lambda d: point, lambda i: "x", path, (4, 5))
     return b.instance("cubic-3-edge-colouring", "U4", Mode.IOS)
 
 

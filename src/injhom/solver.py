@@ -103,6 +103,8 @@ def check_hom(g: OrientedGraph, h: OrientedGraph, f, mode: Mode = Mode.PLAIN) ->
     f must assign an image in range(h.n) to every vertex; anything else is
     a ValueError, not a False.
     """
+    if type(mode) is not Mode:  # brute-force loops call this once per map
+        mode = Mode.parse(mode)
     f = tuple(f)
     if len(f) != g.n:
         raise ValueError(f"map covers {len(f)} vertices, graph has {g.n}")
@@ -659,7 +661,7 @@ class _MaskTable(dict):
 def enumerate_homs(g, h, mode: Mode, pins=None, limit=None) -> Iterator[tuple]:
     """Yield mode-injective homomorphisms g -> h as image tuples, in
     deterministic (lexicographic-by-branching) order."""
-    gen = _Csp(g, h, mode, pins).solutions()
+    gen = _Csp(g, h, Mode.parse(mode), pins).solutions()
     if limit is None:
         yield from gen
     else:
@@ -669,6 +671,7 @@ def enumerate_homs(g, h, mode: Mode, pins=None, limit=None) -> Iterator[tuple]:
 def solve(g, h, mode: Mode, pins=None) -> SolveResult:
     """Decide mode-injective homomorphisms from g to h; the witness is the
     first one the part-by-part search finds."""
+    mode = Mode.parse(mode)
     csp = _Csp(g, h, mode, pins)
     first = next(csp.solutions(first_only=True), None)
     witness = Homomorphism(first, mode) if first is not None else None

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -39,6 +42,21 @@ def test_decide_yes_with_witness(write, capsys):
     assert lines[1] == "algorithm: path-cycle-mod3"
     assert lines[2] == "0 -> c1"
     assert len(lines) == 8  # YES, algorithm, six vertex lines
+
+
+def test_module_runs_as_a_command(write):
+    # python -m injhom.cli reaches main through the __main__ guard, and
+    # its exit code through sys.exit
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = write("p3.txt", format_edge_list(directed_path(3)))
+    for argv, code, out in ((["decide", path, "T3", "ios"], 0, "YES"), ([], 2, "")):
+        proc = subprocess.run([sys.executable, "-m", "injhom.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert proc.stdout.splitlines()[:1] == ([out] if out else []), (argv, proc.stdout)
+    assert "usage: injhom" in proc.stderr
 
 
 def test_decide_no(write, capsys):

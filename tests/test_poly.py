@@ -2,6 +2,8 @@ import collections
 import itertools
 import random
 
+import pytest
+
 from injhom.graphs import (
     Mode,
     OrientedGraph,
@@ -59,6 +61,18 @@ def test_deciders_match_brute_force_random():
             assert got.satisfiable == brute(g, name, mode), (name, mode)
             if got.satisfiable:
                 assert check_hom(g, build_named(name), got.witness.map, mode)
+
+
+def test_decide_poly_reads_its_mode_through_mode_parse():
+    # a string mode used to be read as plain: "iot" answered YES with
+    # (0, 0, 0), a map iot refuses
+    g = directed_path(3)
+    for text, mode in (("iot", Mode.IOT), ("Plain", Mode.PLAIN), ("IOS", Mode.IOS)):
+        res = decide_poly(g, "C3r", text)
+        assert res == decide_poly(g, "C3r", mode)
+        assert res.witness.mode is mode and check_hom(g, build_named("C3r"), res.witness.map, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        decide_poly(g, "C3r", "bogus")
 
 
 def test_c3_cycles_mod3():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -104,6 +105,14 @@ def test_incident_order_and_edge_index():
                 assert h.degree(v) == sum(1 for e in h.edges if v in e)
 
 
+def test_simple_graph_rejects_non_int_endpoints():
+    # each used to fail with a TypeError: a float in the incidence rows,
+    # a string in the range test
+    for edges in ([(0.0, 1), (1, 2)], [(0.5, 1)], [("a", 1)], [(1, None)]):
+        with pytest.raises(ValueError, match="edge endpoints must be ints"):
+            SimpleGraph(3, edges)
+
+
 def test_edge_order_validation():
     edges = [(0, 1), (0, 2), (1, 2)]
     custom = [[(0, 2), (0, 1)], [(1, 2), (0, 1)], [(0, 2), (1, 2)]]
@@ -183,6 +192,17 @@ def test_3edge_t3r_validation():
         reduce_3edge_to_t3r(path_graph(4))
     with pytest.raises(ValueError):
         reduce_3edge_to_t3r(complete_graph(4), Mode.PLAIN)
+
+
+def test_3edge_t3r_reads_its_mode_through_mode_parse():
+    # a string mode used to be refused as neither ios nor iot
+    for text, mode in (("ios", Mode.IOS), ("IOT", Mode.IOT)):
+        inst = reduce_3edge_to_t3r(complete_graph(4), text)
+        assert inst.mode is mode and inst == reduce_3edge_to_t3r(complete_graph(4), mode)
+    with pytest.raises(ValueError, match="mode must be ios or iot"):
+        reduce_3edge_to_t3r(complete_graph(4), "plain")
+    with pytest.raises(ValueError, match="unknown mode"):
+        reduce_3edge_to_t3r(complete_graph(4), "bogus")
 
 
 # --- vertex colouring to iot against the reflexive triangle ---
@@ -519,3 +539,56 @@ def test_oracle_rejects_a_negative_colour_count():
     with pytest.raises(ValueError, match="nonnegative"):
         oracle_k_colouring(path_graph(2), -1)
     assert oracle_k_colouring(SimpleGraph(0, []), 0) == []
+
+
+def random_connected_cubic(n, rng):
+    """A connected cubic graph from the configuration model: 3n stubs
+    shuffled and paired in order, redrawn on a loop, a repeated edge or a
+    disconnected graph."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(edges) == 3 * n // 2:
+            g = SimpleGraph(n, edges)
+            if g.is_connected():
+                return g
+
+
+# sha256 of every instance each builder makes on the corpus below; any
+# change to vertex numbering, arcs, provenance, target or mode moves them
+VERTEX_AND_EDGE_DIGESTS = {
+    "ios-C3r": "4ec892eea771e449cbe6291033dbea1ac36b0f67c1cbc70e0712890e46c75008",
+    "iot-C3r": "22058bafa4c0bd9658e7ff3009c7a488cb78b5eff5ec170397aa93314475c63c",
+    "T3r-ios": "a97e1901565d713192c4c23224cd00db4a52d07f149fae56ac828b788c7187e4",
+    "T3r-iot": "ba5d64cd935f7232f54f9808cb418a039182744e8e59ed1fb1e4f4c82f011592",
+    "U4": "221ef6f323a768e235ed28b207657e1d9cacf741ce69969c161a2405ee243889",
+    "U6": "67b23973c713d8e53420967b949eaeaa48d6efa1dd4fe9092415e78cd51fcf86",
+}
+
+
+def test_vertex_and_edge_reductions_build_the_pinned_instances():
+    # vertex numbering, arcs, provenance, target and mode of each
+    # instance, on the paper graphs, seeded random cubic graphs and a
+    # random incident order of each, which moves every port
+    rng = random.Random(29)
+    sources = [complete_graph(4), complete_bipartite(3, 3), prism_graph(), bridged_cubic_graph(), petersen_graph()]
+    sources += [random_connected_cubic(n, rng) for n in range(8, 22, 2) for _ in range(2)]
+    sources += [with_random_edge_order(g, rng) for g in sources]
+    builders = {
+        "ios-C3r": reduce_3col_to_ios_c3r,
+        "iot-C3r": reduce_3col_to_iot_c3r,
+        "T3r-ios": lambda g: reduce_3edge_to_t3r(g, Mode.IOS),
+        "T3r-iot": lambda g: reduce_3edge_to_t3r(g, Mode.IOT),
+        "U4": reduce_3edge_to_u4,
+        "U6": lambda g: reduce_3edge_to_um(g, 6),
+    }
+    for name, build in builders.items():
+        digest = hashlib.sha256()
+        for g in sources:
+            inst = build(g)
+            check_provenance_partitions(inst)
+            prov = sorted((key, sorted(table.items())) for key, table in inst.provenance.items())
+            fields = (inst.graph.n, sorted(inst.graph.arcs), prov, inst.source_kind, inst.target, inst.mode.value)
+            digest.update(repr(fields).encode())
+        assert digest.hexdigest() == VERTEX_AND_EDGE_DIGESTS[name], name

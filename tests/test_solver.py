@@ -272,6 +272,38 @@ def test_check_hom_reflexive_input_needs_reflexive_target():
     assert check_hom(g, T3r, (0, 1), Mode.PLAIN)
 
 
+def test_check_hom_reads_its_mode_through_mode_parse():
+    # a string mode used to be read as iot, so "plain" refused a plain map
+    g, h = directed_path(3), build_named("C3r")
+    assert check_hom(g, h, (0, 0, 0), "plain") and check_hom(g, h, (0, 0, 0), "IOS")
+    assert not check_hom(g, h, (0, 0, 0), "iot")
+    with pytest.raises(ValueError, match="unknown mode"):
+        check_hom(g, h, (0, 0, 0), "bogus")
+
+
+def test_solve_reads_its_mode_through_mode_parse():
+    # a string mode, "bogus" included, used to be read as ios: "iot"
+    # found (0, 0, 0), a map iot refuses
+    g, h = directed_path(3), build_named("C3r")
+    for text, mode in (("iot", Mode.IOT), ("Plain", Mode.PLAIN), ("IOS", Mode.IOS)):
+        assert solve(g, h, text) == solve(g, h, mode)
+    res = solve(g, h, "iot")
+    assert res.witness.mode is Mode.IOT and check_hom(g, h, res.witness.map, Mode.IOT)
+    with pytest.raises(ValueError, match="unknown mode"):
+        solve(g, h, "bogus")
+
+
+def test_enumerate_homs_reads_its_mode_through_mode_parse():
+    # a string mode, "bogus" included, used to be read as ios: "iot"
+    # yielded 12 maps instead of 9
+    g, h = directed_path(3), build_named("C3r")
+    for text, mode in (("iot", Mode.IOT), ("Plain", Mode.PLAIN), ("IOS", Mode.IOS)):
+        assert list(enumerate_homs(g, h, text)) == list(enumerate_homs(g, h, mode))
+    assert len(list(enumerate_homs(g, h, "iot"))) == 9
+    with pytest.raises(ValueError, match="unknown mode"):
+        next(enumerate_homs(g, h, "bogus"))
+
+
 def test_check_hom_matches_per_vertex_check():
     # the arc-pair test against the per-vertex sets; both verdicts occur
     # in every mode, on reflexive and irreflexive inputs
