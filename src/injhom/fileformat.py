@@ -57,10 +57,10 @@ def _data_lines(lines, start: int = 1):
         yield lineno, line
 
 
-def _parse_header(lineno: int, line: str, allow_reflexive: bool):
+def _parse_header(lineno: int, line: str, directed: bool):
     parts = line.split()
     if len(parts) == 3 and parts[2] == "reflexive":
-        if not allow_reflexive:
+        if not directed:
             raise EdgeListError(lineno, "reflexive flag not allowed here")
         reflexive = True
         parts = parts[:2]
@@ -81,7 +81,7 @@ _DROP_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
 _COMMAS = {ord(" "): ord(","), ord("\n"): ord(",")}
 
 
-def _strict_parse(text: str, allow_reflexive: bool):
+def _strict_parse(text: str, directed: bool):
     """(n, arcs, reflexive) of a text in the strict layout, checked in a
     few passes at C speed; None for any other text, which the line loop
     then reads."""
@@ -96,7 +96,7 @@ def _strict_parse(text: str, allow_reflexive: bool):
     line, _, body = text[start:].partition("\n")
     header = line.split(" ")
     reflexive = len(header) == 3 and header[2] == "reflexive"
-    if reflexive and allow_reflexive:
+    if reflexive and directed:
         del header[2]
     if len(header) != 2:
         return None
@@ -152,15 +152,16 @@ def _parse_body(lines, n: int, m: int, directed: bool):
     return frozenset(pairs)
 
 
-def _parse(text: str, allow_reflexive: bool, directed: bool):
+def _parse(text: str, directed: bool):
     """(n, arcs, reflexive) of an edge-list text: the strict check, and
-    the line loop for any text that it does not accept."""
-    parsed = _strict_parse(text, allow_reflexive)
+    the line loop for any text that it does not accept.  Only a directed
+    text may be reflexive."""
+    parsed = _strict_parse(text, directed)
     if parsed is not None:
         return parsed
     lines = _data_lines(text.splitlines())
     for lineno, line in lines:
-        n, m, reflexive = _parse_header(lineno, line, allow_reflexive)
+        n, m, reflexive = _parse_header(lineno, line, directed)
         break
     else:
         raise EdgeListError(0, "empty input: missing header")
@@ -169,14 +170,14 @@ def _parse(text: str, allow_reflexive: bool, directed: bool):
 
 def parse_edge_list(text: str) -> OrientedGraph:
     """Parse an oriented graph; raises EdgeListError with a line number."""
-    n, arcs, reflexive = _parse(text, allow_reflexive=True, directed=True)
+    n, arcs, reflexive = _parse(text, directed=True)
     return OrientedGraph._checked(n, arcs, reflexive)
 
 
 def parse_undirected_edge_list(text: str):
     """Parse an undirected graph; returns (n, edges) with edges as
     normalized (min, max) tuples."""
-    n, arcs, _ = _parse(text, allow_reflexive=False, directed=False)
+    n, arcs, _ = _parse(text, directed=False)
     return n, frozenset((min(u, v), max(u, v)) for u, v in arcs)
 
 

@@ -1,15 +1,19 @@
 """Polynomial transformations between problems, with provenance, plus
 brute-force oracles for the undirected source problems.
 
-Each reducer consumes a SimpleGraph and emits a ReductionInstance: the
+Each reducer consumes a source graph and emits a ReductionInstance: the
 transformed oriented graph, the target/mode it is meant to be solved
 against, and a provenance table that partitions the new vertex set among
 the source objects (one entry per source vertex and per source edge).
-Gadgets are placed whole through one builder, which can glue a gadget's
-ports onto vertices already placed.  The four vertex-and-edge reducers
-share its join step: a gadget on each source vertex, and a block on each
-source edge glued to its endpoints' gadgets at the ports numbered by the
-edge's position in each endpoint's incident order.
+One builder places every instance: it numbers the vertices, fills the
+provenance, checks the size cap and builds the graph.  Its join step
+builds the four vertex-and-edge reducers: a gadget on each source
+vertex, and a block on each source edge glued to its endpoints' gadgets
+at the ports numbered by the edge's position in each endpoint's incident
+order.  Its link step builds the two transfers from the reflexive
+triangle: a block on each source vertex, and an arc between two blocks'
+x roles for each source arc.  The lift to U_m starts it from the U4
+instance and glues each vertex's in-pendants onto its x as one block.
 colouring_instance wraps a graph for a colouring flavour; the flavours
 are defined in chromatic.FLAVOURS.
 """
@@ -164,33 +168,31 @@ class ReductionInstance:
         return self.provenance[("edge", (min(u, w), max(u, w)))]
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise ValueError(f"reduction instance would pass {MAX_VERTICES} vertices")
-
-
 class _Builder:
-    def __init__(self):
-        self.arcs = []
-        self.n = 0
-        self.prov = {}
+    def __init__(self, start: ReductionInstance | None = None):
+        """An empty instance, or a copy of start's arcs and provenance
+        tables to add blocks to."""
+        self.n = 0 if start is None else start.graph.n
+        self.arcs = [] if start is None else list(start.graph.arcs)
+        self.prov = {} if start is None else {key: dict(table) for key, table in start.provenance.items()}
 
     def block(self, key, size: int, roles: dict, arcs, glue=None) -> dict:
         """Add a block of `size` vertices under provenance `key`; `roles`
         and `arcs` use block-local indices.  `glue` maps block-local
         vertices to vertices already placed: those get no fresh number
-        and no role, and the others are numbered in local order.
-        Returns the role->global table."""
+        and no role, and the others are numbered in local order.  The
+        roles join any table the key already has; returns that table."""
         glue = glue or {}
         base = self.n
         fresh = size - len(glue)
-        _check_size(base + fresh)
+        if base + fresh > MAX_VERTICES:
+            raise ValueError(f"reduction instance would pass {MAX_VERTICES} vertices")
         self.n += fresh
         place = list(range(base, self.n))
         for v in sorted(glue):
             place.insert(v, glue[v])
-        table = {name: place[idx] for name, idx in roles.items() if idx not in glue}
-        self.prov[key] = table
+        table = self.prov.setdefault(key, {})
+        table.update((name, place[idx]) for name, idx in roles.items() if idx not in glue)
         self.arcs.extend((place[u], place[v]) for u, v in arcs)
         return table
 
@@ -211,11 +213,21 @@ class _Builder:
             self.block(("edge", e), *edge_block, {ports[0]: at[e[0]][e], ports[1]: at[e[1]][e]})
         return self
 
+    def link(self, g: OrientedGraph, vertex_block) -> "_Builder":
+        """Place the transfer construction on g.  Each vertex x, in order,
+        gets the block vertex_block(x) = (size, roles, arcs), and each arc
+        uv, in sorted order, becomes an arc from u's block's role x to
+        v's."""
+        xs = [self.block(("vertex", x), *vertex_block(x))["x"] for x in range(g.n)]
+        self.arcs.extend((xs[u], xs[v]) for u, v in sorted(g.arcs))
+        return self
+
     def instance(self, source_kind: str, target: str, mode: Mode) -> ReductionInstance:
-        # each block's arcs are a valid graph's, placed one-to-one on fresh
-        # vertices and on glued ones no block joins to each other, and each
-        # link joins two blocks along an edge or arc of the valid source
-        # graph: no loop, digon or vertex out of range
+        # a starting instance's arcs and each block's are a valid graph's,
+        # placed one-to-one on fresh vertices and on glued ones no block
+        # joins to each other, and each link joins two blocks along an edge
+        # or arc of the valid source graph: no loop, digon or vertex out of
+        # range
         graph = OrientedGraph._checked(self.n, frozenset(self.arcs))
         return ReductionInstance(graph, self.prov, source_kind, target, mode)
 
@@ -301,6 +313,14 @@ def reduce_3edge_to_u4(g: SimpleGraph) -> ReductionInstance:
     return b.instance("cubic-3-edge-colouring", "U4", Mode.IOS)
 
 
+def _in_pendants(k: int) -> tuple:
+    """The block (size, roles, arcs) of a vertex x with k in-pendants
+    pend1..pendk."""
+    roles = {"x": 0}
+    roles.update({f"pend{p}": p for p in range(1, k + 1)})
+    return 1 + k, roles, [(p, 0) for p in range(1, k + 1)]
+
+
 def lift_u4_instance(inst: ReductionInstance, m: int) -> ReductionInstance:
     """Lift a U4 instance to U_m (m >= 4) by giving each original vertex
     enough fresh in-pendants to reach in-degree m-4, which pins it to the
@@ -308,27 +328,17 @@ def lift_u4_instance(inst: ReductionInstance, m: int) -> ReductionInstance:
     check_u_size(m)
     if inst.target != "U4":
         raise ValueError("can only lift U4 instances")
-    pendants = []
-    prov = {key: dict(table) for key, table in inst.provenance.items()}
-    n = inst.graph.n
-    for key, table in prov.items():
-        if key[0] != "vertex":
-            continue
-        x = table["x"]
-        need = max(0, (m - 4) - inst.graph.in_degree(x))
-        _check_size(n + need)
-        for p in range(need):
-            table[f"pend{p + 1}"] = n
-            pendants.append((n, x))
-            n += 1
-    # the U4 instance is a valid graph, and each pendant arc joins a
-    # fresh vertex to an old one: no loop, repeat or digon
-    lifted = OrientedGraph._checked(n, inst.graph.arcs.union(pendants))
-    return ReductionInstance(lifted, prov, inst.source_kind, f"U{m}", inst.mode)
+    b = _Builder(inst)
+    for key, table in inst.provenance.items():
+        if key[0] == "vertex":
+            x = table["x"]
+            b.block(key, *_in_pendants(max(0, (m - 4) - inst.graph.in_degree(x))), glue={0: x})
+    return b.instance(inst.source_kind, f"U{m}", inst.mode)
 
 
 def reduce_3edge_to_um(g: SimpleGraph, m: int = 4) -> ReductionInstance:
     """reduce_3edge_to_u4 followed by the lift to U_m."""
+    check_u_size(m)
     inst = reduce_3edge_to_u4(g)
     return inst if m == 4 else lift_u4_instance(inst, m)
 
@@ -343,15 +353,7 @@ def reduce_ios_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
         raise ValueError("input must be irreflexive")
     if max(max_degrees(g)) > 2:
         raise ValueError("reduction needs in- and out-degrees at most 2")
-    b = _Builder()
-    for x in range(g.n):
-        pendants = m - 3 if g.in_degree(x) == 2 else m - 2
-        roles = {"x": 0}
-        roles.update({f"pend{p + 1}": p + 1 for p in range(pendants)})
-        arcs = [(p + 1, 0) for p in range(pendants)]
-        b.block(("vertex", x), 1 + pendants, roles, arcs)
-    for u, v in sorted(g.arcs):
-        b.arcs.append((b.prov[("vertex", u)]["x"], b.prov[("vertex", v)]["x"]))
+    b = _Builder().link(g, lambda x: _in_pendants(m - 3 if g.in_degree(x) == 2 else m - 2))
     return b.instance("ios-C3r", f"U{m}r", Mode.IOS)
 
 
@@ -363,25 +365,19 @@ def reduce_iot_c3r_to_umr(g: OrientedGraph, m: int) -> ReductionInstance:
     check_u_size(m)
     if g.reflexive:
         raise ValueError("input must be irreflexive")
-    b = _Builder()
     t = m - 3
-    for x in range(g.n):
-        roles = {"x": 0}
-        arcs = []
-        for i in range(1, t + 1):
-            roles[f"t{i}"] = i
-            arcs.append((i, 0))
-            for j in range(i + 1, t + 1):
-                arcs.append((i, j))
-        pos = t + 1
-        for i in range(1, t + 1):
-            for tag in ("a", "b", "c"):
-                roles[f"t{i}{tag}"] = pos
-                arcs.append((i, pos))
-                pos += 1
-        b.block(("vertex", x), pos, roles, arcs)
-    for u, v in sorted(g.arcs):
-        b.arcs.append((b.prov[("vertex", u)]["x"], b.prov[("vertex", v)]["x"]))
+    roles = {"x": 0}
+    arcs = []
+    for i in range(1, t + 1):
+        roles[f"t{i}"] = i
+        arcs += [(i, j) for j in (0, *range(i + 1, t + 1))]
+    pos = t + 1
+    for i in range(1, t + 1):
+        for tag in ("a", "b", "c"):
+            roles[f"t{i}{tag}"] = pos
+            arcs.append((i, pos))
+            pos += 1
+    b = _Builder().link(g, lambda x: (pos, roles, arcs))
     return b.instance("iot-C3r", f"U{m}r", Mode.IOT)
 
 

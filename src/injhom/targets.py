@@ -5,7 +5,10 @@ triangle), U<m> for 4 <= m <= U_MAX (a directed triangle dominated by
 every vertex of a transitive tournament on m-3 vertices), each optionally
 suffixed with "r" for the reflexive version.  U<m> has about m^2/2 arcs;
 the cap turns a name like U100000 into a clean error before any arc is
-built.  A custom target is any tournament supplied as an OrientedGraph.
+built.  A custom target is any tournament on at most U_MAX vertices
+supplied as an OrientedGraph: the degree-2 DP's state tables grow as the
+fourth power of the target's size, so a larger one is refused as a larger
+U<m> is.  solve() itself takes any target graph.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ class TargetSpec:
             _parse_name(self.name)
         elif not is_tournament(self.custom):
             raise ValueError("custom target must be a tournament")
+        elif self.custom.n > U_MAX:
+            raise ValueError(f"custom target needs at most {U_MAX} vertices, got {self.custom.n}")
 
     @classmethod
     def parse(cls, text: str) -> "TargetSpec":
@@ -65,7 +70,9 @@ def _parse_name(text: str):
 
 
 def check_u_size(m: int) -> None:
-    """Raise ValueError unless 4 <= m <= U_MAX."""
+    """Raise ValueError unless m is an int with 4 <= m <= U_MAX."""
+    if not isinstance(m, int):
+        raise ValueError(f"U targets need an int m, got {m!r}")
     if m < 4:
         raise ValueError(f"U targets need m >= 4, got {m}")
     if m > U_MAX:

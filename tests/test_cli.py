@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from injhom import cli, reductions, targets, verify
+from injhom import cli, poly, reductions, targets, verify
 from injhom.cli import main
 from injhom.fileformat import format_edge_list, format_undirected_edge_list, parse_edge_list
-from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph
+from injhom.graphs import OrientedGraph, directed_cycle, directed_path, random_oriented_graph, transitive_tournament
 from injhom.reductions import SimpleGraph, complete_graph, reduce_3edge_to_t3r
 from injhom.solver import Homomorphism
 from injhom.verify import SUITES
@@ -113,6 +113,19 @@ def test_decide_custom_target_via_at_file(write, capsys):
     assert code == 0
     # custom targets print v-prefixed labels
     assert "0 -> v0" in out and "1 -> v" in out
+
+
+def test_decide_refuses_a_custom_target_past_u_max(write, capsys, monkeypatch):
+    g = write("path.txt", format_edge_list(directed_path(3)))
+    big = write("t101.txt", format_edge_list(transitive_tournament(targets.U_MAX + 1)))
+    monkeypatch.setattr(poly, "_walk_images", lambda *args: pytest.fail("built a DP table"))
+    code, out, err = run(capsys, "decide", g, "@" + big, "ios")
+    assert (code, out) == (2, "")
+    assert f"at most {targets.U_MAX} vertices" in err
+    monkeypatch.undo()
+    fits = write("t100.txt", format_edge_list(transitive_tournament(targets.U_MAX)))
+    code, out, _ = run(capsys, "decide", g, "@" + fits, "ios")
+    assert code == 0 and out.splitlines()[:2] == ["YES", "algorithm: degree2-dp"]
 
 
 def test_solve_enumerate_and_limit(write, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from injhom.fileformat import format_edge_list
 from injhom import poly
 from injhom.poly import decide_poly
 from injhom.solver import check_hom, solve
-from injhom.targets import TargetSpec, build_named
+from injhom.targets import U_MAX, TargetSpec, build_named
 
 
 def brute(g, target_name, mode):
@@ -73,6 +73,20 @@ def test_decide_poly_reads_its_mode_through_mode_parse():
         assert res.witness.mode is mode and check_hom(g, build_named("C3r"), res.witness.map, mode)
     with pytest.raises(ValueError, match="unknown mode"):
         decide_poly(g, "C3r", "bogus")
+
+
+def test_decide_poly_refuses_a_custom_target_past_u_max(monkeypatch):
+    # its state tables grow as the fourth power of the target's size: a
+    # 400-vertex target would need gigabytes
+    g = directed_path(3)
+    monkeypatch.setattr(poly, "_walk_images", lambda *args: pytest.fail("built a DP table"))
+    with pytest.raises(ValueError, match=f"at most {U_MAX} vertices"):
+        decide_poly(g, transitive_tournament(U_MAX + 1), Mode.IOS)
+    monkeypatch.undo()
+    h = transitive_tournament(U_MAX)
+    res = decide_poly(g, h, Mode.IOS)
+    assert res.satisfiable and res.algorithm == "degree2-dp"
+    assert check_hom(g, h, res.witness.map, Mode.IOS)
 
 
 def test_c3_cycles_mod3():

@@ -10,6 +10,7 @@ from injhom.graphs import (
     OrientedGraph,
     all_oriented_graphs,
     directed_cycle,
+    max_degrees,
     random_oriented_graph,
     transitive_tournament,
 )
@@ -378,6 +379,18 @@ def test_umr_transfer_validation():
             reduce(directed_cycle(3), U_MAX + 1)
 
 
+def test_u_family_reductions_need_an_int_m():
+    # each used to raise a TypeError from a comparison or a range, or, for
+    # reduce_3edge_to_um at 4.0, to return the U4 instance
+    k4, c3 = complete_graph(4), directed_cycle(3)
+    inst = reduce_3edge_to_u4(k4)
+    for m in ("5", 4.5, 5.0, 4.0):
+        for build in (lambda: lift_u4_instance(inst, m), lambda: reduce_3edge_to_um(k4, m),
+                      lambda: reduce_ios_c3r_to_umr(c3, m), lambda: reduce_iot_c3r_to_umr(c3, m)):
+            with pytest.raises(ValueError, match="int m"):
+                build()
+
+
 # --- colouring wrappers ---
 
 
@@ -584,11 +597,76 @@ def test_vertex_and_edge_reductions_build_the_pinned_instances():
         "U6": lambda g: reduce_3edge_to_um(g, 6),
     }
     for name, build in builders.items():
-        digest = hashlib.sha256()
-        for g in sources:
-            inst = build(g)
-            check_provenance_partitions(inst)
-            prov = sorted((key, sorted(table.items())) for key, table in inst.provenance.items())
-            fields = (inst.graph.n, sorted(inst.graph.arcs), prov, inst.source_kind, inst.target, inst.mode.value)
-            digest.update(repr(fields).encode())
-        assert digest.hexdigest() == VERTEX_AND_EDGE_DIGESTS[name], name
+        assert pinned_digest(map(build, sources)) == VERTEX_AND_EDGE_DIGESTS[name], name
+
+
+def pinned_digest(instances):
+    """sha256 over the vertex count, arcs, provenance, target and mode of
+    each instance, in order."""
+    digest = hashlib.sha256()
+    for inst in instances:
+        check_provenance_partitions(inst)
+        prov = sorted((key, sorted(table.items())) for key, table in inst.provenance.items())
+        fields = (inst.graph.n, sorted(inst.graph.arcs), prov, inst.source_kind, inst.target, inst.mode.value)
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()
+
+
+TRANSFER_DIGESTS = {
+    ("ios", 4): "ab206c25b81aadd4605d829c2ee864cbde5b7e9b692c410eef01e150d92ab0ff",
+    ("ios", 5): "5f062206270b7000a3f19b32037006c425ae24933fecd8ce99889267ad4cc244",
+    ("ios", 7): "750e7015f75bf089dc9d20856d172cce9ba01128556dd1cd0e3732baee47e252",
+    ("iot", 4): "7b916d224563f1ea3d3d01a8c922b29a7d75ec4f96c8c18991653e73d04fb607",
+    ("iot", 5): "0c63902d8c2b930a94299066662f879d06adc1bbf7007f59bfa16b2ee2a64507",
+    ("iot", 7): "f735a8a81ccbb3ca36752643d1c766425aad5a599799a35e72420c83b3d723da",
+}
+
+
+def test_transfers_build_the_pinned_instances():
+    # every three-vertex oriented graph and seeded random ones on 4-14
+    # vertices, sparse and dense; the ios transfer takes only those whose
+    # in- and out-degrees are at most 2
+    rng = random.Random(30)
+    sources = list(all_oriented_graphs(3))
+    for _ in range(200):
+        n = rng.randint(4, 14)
+        sources.append(random_oriented_graph(n, rng, arc_chance=rng.choice((0.1, 0.2, 0.4, 2 / 3))))
+    low = [g for g in sources if max(max_degrees(g)) <= 2]
+    assert 27 < len(low) < len(sources)
+    for m in (4, 5, 7):
+        assert pinned_digest(reduce_ios_c3r_to_umr(g, m) for g in low) == TRANSFER_DIGESTS["ios", m], m
+        assert pinned_digest(reduce_iot_c3r_to_umr(g, m) for g in sources) == TRANSFER_DIGESTS["iot", m], m
+
+
+LIFT_DIGESTS = {
+    5: "4829a3e78baa5fba3a04fdb157f754db8c8078874bbe4be16dc18a01e2f9a7a5",
+    6: "70d1f3c2b088ded3487bf546693ffb82a232682576926d7b15f574b50f66c2c4",
+    9: "25b250a5d5beb46350f039be13e7e8f8f97aa0a06e91c8edb092f76a7edb5988",
+}
+
+
+def _lift_sources():
+    rng = random.Random(31)
+    sources = [complete_graph(4), complete_bipartite(3, 3), prism_graph(), bridged_cubic_graph(), petersen_graph()]
+    sources += [random_connected_cubic(n, rng) for n in range(8, 22, 2) for _ in range(2)]
+    sources += [with_random_edge_order(g, rng) for g in sources]
+    return [reduce_3edge_to_u4(g) for g in sources]
+
+
+def test_lift_builds_the_pinned_instances():
+    # the U4 instances of the paper graphs and seeded cubic graphs, each
+    # also with a random incident order, lifted to U5, U6 and U9
+    instances = _lift_sources()
+    for m in (5, 6, 9):
+        assert pinned_digest(lift_u4_instance(inst, m) for inst in instances) == LIFT_DIGESTS[m], m
+
+
+def test_lift_leaves_the_u4_instance_unchanged():
+    for inst in _lift_sources()[:6]:
+        graph = inst.graph
+        prov = {key: dict(table) for key, table in inst.provenance.items()}
+        lifted = lift_u4_instance(inst, 9)
+        assert lifted.graph.n > graph.n
+        assert inst.graph is graph and inst.graph.arcs == graph.arcs
+        assert inst.provenance == prov
+        assert all(lifted.provenance[key] is not table for key, table in inst.provenance.items())

@@ -96,3 +96,19 @@ def test_u_size_cap():
             TargetSpec.parse(name)
     with pytest.raises(ValueError, match=f"U targets need m <= {U_MAX}"):
         u_tournament(U_MAX + 1)
+
+
+def test_custom_target_is_capped_at_u_max():
+    # the degree-2 DP's state tables grow as the fourth power of the
+    # target's size, so a custom target is capped as a U<m> name is
+    with pytest.raises(ValueError, match=f"at most {U_MAX} vertices, got {U_MAX + 1}"):
+        TargetSpec.from_graph(transitive_tournament(U_MAX + 1))
+    assert TargetSpec.from_graph(transitive_tournament(U_MAX)).custom.n == U_MAX
+
+
+def test_u_tournament_needs_an_int_m():
+    # a float or a string used to pass the range check or fail in it with
+    # a TypeError
+    for m in (4.0, 4.5, "5", None):
+        with pytest.raises(ValueError, match="int m"):
+            u_tournament(m)
