@@ -50,9 +50,7 @@ def _read_simple(path: str) -> SimpleGraph:
 
 
 def _resolve_target(text: str) -> TargetSpec:
-    if text.startswith("@"):
-        return TargetSpec.from_graph(_read_graph(text[1:]))
-    return TargetSpec.parse(text)
+    return TargetSpec.of(_read_graph(text[1:]) if text.startswith("@") else text)
 
 
 def _write_map(images, labels) -> None:

@@ -49,8 +49,8 @@ def read_decimal(text: str) -> int:
     return int(text)
 
 
-def _data_lines(lines, start: int = 1):
-    for lineno, raw in enumerate(lines, start=start):
+def _data_lines(lines):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,20 +181,22 @@ def parse_undirected_edge_list(text: str):
     return n, frozenset((min(u, v), max(u, v)) for u, v in arcs)
 
 
+def _format(header: str, pairs, comments: Iterable) -> str:
+    """The edge-list text: each line of each comment as a '#' line (the
+    line breaks the parser splits on, so no comment can end its line
+    early), the header, then one 'u v' line per pair."""
+    out = [f"# {line}".rstrip() for c in comments for line in str(c).splitlines() or [""]]
+    out.append(header)
+    out.extend(f"{u} {v}" for u, v in pairs)
+    return "\n".join(out) + "\n"
+
+
 def format_edge_list(g: OrientedGraph, comments: Iterable = ()) -> str:
     """Render a graph in the edge-list format; comments go on top."""
-    out = [f"# {c}".rstrip() for c in comments]
-    header = f"{g.n} {g.num_arcs}"
-    if g.reflexive:
-        header += " reflexive"
-    out.append(header)
-    out.extend(f"{u} {v}" for u, v in sorted(g.arcs))
-    return "\n".join(out) + "\n"
+    header = f"{g.n} {g.num_arcs}" + (" reflexive" if g.reflexive else "")
+    return _format(header, sorted(g.arcs), comments)
 
 
 def format_undirected_edge_list(n: int, edges, comments: Iterable = ()) -> str:
-    out = [f"# {c}".rstrip() for c in comments]
     norm = sorted((min(u, v), max(u, v)) for u, v in edges)
-    out.append(f"{n} {len(norm)}")
-    out.extend(f"{u} {v}" for u, v in norm)
-    return "\n".join(out) + "\n"
+    return _format(f"{n} {len(norm)}", norm, comments)

@@ -66,8 +66,7 @@ class OrientedGraph:
     reflexive: bool = False
 
     def __init__(self, n: int, arcs: Iterable = (), reflexive: bool = False):
-        if type(arcs) is not frozenset or not set(map(type, arcs)) <= {tuple}:
-            arcs = frozenset(tuple(a) for a in arcs)
+        arcs = frozenset(map(tuple, arcs))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "reflexive", bool(reflexive))

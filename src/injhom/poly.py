@@ -327,19 +327,17 @@ def decide_poly(g: OrientedGraph, target, mode: Mode):
     for T2r under ios (2-SAT there), and is left to the search otherwise.
     """
     mode = Mode.parse(mode)
-    spec = TargetSpec.parse(target) if isinstance(target, str) else target
-    if not isinstance(spec, TargetSpec):
-        spec = TargetSpec.from_graph(spec)
+    spec = TargetSpec.of(target)
     if g.reflexive:
         return None
     label = _LABELS.get((spec.name, mode))
     nbrs = _walk_nbrs(g)
     if nbrs is not None:
-        images = _walk_images(g, nbrs, spec.build(), mode)
+        images = _walk_images(g, nbrs, spec.graph, mode)
         witness = Homomorphism(tuple(images), mode) if images is not None else None
         return SolveResult(images is not None, witness, algorithm=label or "degree2-dp")
     if label is None:
         return None
     if (spec.name, mode) != ("T2r", Mode.IOS):
         return SolveResult(False, None, algorithm=label)
-    return dataclasses.replace(solve(g, spec.build(), mode), algorithm=label)
+    return dataclasses.replace(solve(g, spec.graph, mode), algorithm=label)

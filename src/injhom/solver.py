@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -534,7 +533,8 @@ class _Target(dict):
     mask of the lowest value of each orbit of the target's automorphisms,
     found on first use.  Indexed by (iot, loops, in-degree, out-degree),
     with loops 1 for a reflexive input, the object itself is the degree
-    filter: the values a vertex may take, filled on first use.
+    filter: the values a vertex may take, filled on first use.  Under ios
+    and iot, start looks every input vertex up in it once.
 
     A locally injective map sends each protected neighbourhood of a
     vertex injectively into the matching one of its image (Fiala &
@@ -564,39 +564,29 @@ class _Target(dict):
 
     def __missing__(self, key):
         iot, own, ins, outs = key
-        mask = self[key] = self.fits(iot, own, ins, outs, ins + outs)
-        return mask
-
-    def fits(self, iot, own, ins, outs, whole) -> int:
-        """The values with room for ins in-neighbours, outs out-neighbours
-        and whole neighbours in all, loops not counted, under iot or ios,
-        for an input with loops (own 1) or without (own 0)."""
+        whole = ins + outs + own if iot else 0
         ins += own
         outs += own
-        whole = whole + own if iot else 0
         mask = 0
         for a, (room_in, room_out, room_whole) in enumerate(self.room):
             if ins <= room_in and outs <= room_out and whole <= room_whole:
                 mask |= 1 << a
+        self[key] = mask
         return mask
 
     def start(self, g: OrientedGraph, mode: Mode) -> list:
         """Each vertex's start domain: under ios and iot the values with
-        room for its protected neighbourhoods, one lookup per vertex,
-        unless every value has room for the largest; the whole target
-        otherwise.  A loop maps only onto a loop, so a looped input
-        starts on no value of an irreflexive target."""
+        room for its protected neighbourhoods, one lookup per vertex; the
+        whole target in plain mode.  A loop maps only onto a loop, so a
+        looped input starts on no value of an irreflexive target."""
         if g.reflexive and not self.h.reflexive:
             return [0] * g.n
-        if mode is not Mode.PLAIN and g.n:
-            ins = list(map(len, g.in_nbrs))
-            outs = list(map(len, g.out_nbrs))
-            iot = mode is Mode.IOT
-            own = int(g.reflexive)
-            if self.fits(iot, own, max(ins), max(outs), max(map(operator.add, ins, outs))) != self.full:
-                keys = zip(itertools.repeat(iot), itertools.repeat(own), ins, outs)
-                return list(map(self.__getitem__, keys))
-        return [self.full] * g.n
+        if mode is Mode.PLAIN:
+            return [self.full] * g.n
+        iot = itertools.repeat(mode is Mode.IOT)
+        own = itertools.repeat(int(g.reflexive))
+        keys = zip(iot, own, map(len, g.in_nbrs), map(len, g.out_nbrs))
+        return list(map(self.__getitem__, keys))
 
     @functools.cached_property
     def reps(self) -> int:

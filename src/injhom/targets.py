@@ -9,13 +9,17 @@ built.  A custom target is any tournament on at most U_MAX vertices
 supplied as an OrientedGraph: the degree-2 DP's state tables grow as the
 fourth power of the target's size, so a larger one is refused as a larger
 U<m> is.  solve() itself takes any target graph.
+
+A TargetSpec parses its name once, when it is made, and holds the graph
+and labels; every function that takes a target reads it through
+TargetSpec.of, which accepts a name, a spec or a custom tournament.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fileformat import read_decimal
 from .graphs import OrientedGraph, is_tournament, transitive_tournament
@@ -28,20 +32,28 @@ U_MAX = 100  # largest U<m>: 4,950 arcs, built in milliseconds
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Either a recognized target name or a custom tournament."""
+    """Either a recognized target name or a custom tournament.  The name
+    is parsed once, when the spec is made; graph and labels (the
+    printable vertex names) are what every reader of the spec reads."""
 
     name: str | None = None
     custom: OrientedGraph | None = None
+    graph: OrientedGraph = field(init=False, repr=False, compare=False)
+    labels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.name is None) == (self.custom is None):
             raise ValueError("exactly one of name/custom must be given")
         if self.name is not None:
-            _parse_name(self.name)
+            graph, labels = _build(*_parse_name(self.name))
         elif not is_tournament(self.custom):
             raise ValueError("custom target must be a tournament")
         elif self.custom.n > U_MAX:
             raise ValueError(f"custom target needs at most {U_MAX} vertices, got {self.custom.n}")
+        else:
+            graph, labels = self.custom, tuple(f"v{i}" for i in range(self.custom.n))
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def parse(cls, text: str) -> "TargetSpec":
@@ -51,8 +63,15 @@ class TargetSpec:
     def from_graph(cls, g: OrientedGraph) -> "TargetSpec":
         return cls(custom=g)
 
+    @classmethod
+    def of(cls, target) -> "TargetSpec":
+        """A name, a spec (returned as is) or a custom tournament, as a spec."""
+        if isinstance(target, cls):
+            return target
+        return cls(name=target) if isinstance(target, str) else cls(custom=target)
+
     def build(self) -> OrientedGraph:
-        return build_named(self)
+        return self.graph
 
 
 def _parse_name(text: str):
@@ -89,49 +108,38 @@ def u_tournament(m: int, reflexive: bool = False) -> OrientedGraph:
     return OrientedGraph(m, arcs, reflexive)
 
 
-def build_named(spec) -> OrientedGraph:
-    """Resolve a TargetSpec (or a bare name string) to its graph.  Each
-    named target is built once per process and shared, as graphs are
+def build_named(target) -> OrientedGraph:
+    """The graph of a target given as TargetSpec.of takes it.  Each named
+    target is built once per process and shared, as graphs are
     immutable; custom targets are returned as given."""
-    if isinstance(spec, str):
-        spec = TargetSpec.parse(spec)
-    if spec.custom is not None:
-        return spec.custom
-    return _build(*_parse_name(spec.name))
+    return TargetSpec.of(target).graph
 
 
 # keyed by the parsed name, so "U04" and "U4" share one entry: at most the
 # 202 targets T1-T3, C3 and U4-U100, each plain or reflexive
 @functools.lru_cache(maxsize=None)
-def _build(family, size, reflexive) -> OrientedGraph:
-    if family == "U":
-        return u_tournament(size, reflexive)
+def _build(family, size, reflexive) -> tuple:
+    """The graph and the labels of a named target."""
     if family == "C3":
-        return OrientedGraph(3, ((0, 1), (1, 2), (2, 0)), reflexive)
-    k = int(family[1])
-    t = transitive_tournament(k)
-    return OrientedGraph(k, t.arcs, reflexive)
+        return OrientedGraph(3, ((0, 1), (1, 2), (2, 0)), reflexive), ("c1", "c2", "c3")
+    if family == "U":
+        graph, triangle = u_tournament(size, reflexive), ("c1", "c2", "c3")
+    else:
+        size = int(family[1])
+        graph, triangle = OrientedGraph(size, transitive_tournament(size).arcs, reflexive), ()
+    return graph, triangle + tuple(f"t{i}" for i in range(size - len(triangle)))
 
 
-def target_labels(spec) -> list:
+def target_labels(target) -> list:
     """Printable vertex names: c1..c3 for triangle vertices, t0.. for
     transitive ones, v0.. for custom targets."""
-    if isinstance(spec, str):
-        spec = TargetSpec.parse(spec)
-    if spec.custom is not None:
-        return [f"v{i}" for i in range(spec.custom.n)]
-    family, size, _ = _parse_name(spec.name)
-    if family == "C3":
-        return ["c1", "c2", "c3"]
-    if family == "U":
-        return ["c1", "c2", "c3"] + [f"t{i}" for i in range(size - 3)]
-    return [f"t{i}" for i in range(int(family[1]))]
+    return list(TargetSpec.of(target).labels)
 
 
-def label_index(spec, label: str) -> int:
+def label_index(target, label: str) -> int:
     """Inverse of target_labels, for parsing pins like v=c2; bare indices
     in decimal digits are accepted too."""
-    labels = target_labels(spec)
+    labels = target_labels(target)
     if label in labels:
         return labels.index(label)
     try:

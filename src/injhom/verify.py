@@ -155,10 +155,11 @@ def suite_oracle_equivalence() -> list:
     rng = random.Random(_ORACLE_SEED)
     pool += [random_oriented_graph(4, rng) for _ in range(_ORACLE_SAMPLES)]
     for name, mode in _ORACLE_CASES:
-        target = build_named(name)
+        spec = TargetSpec.parse(name)
+        target = spec.graph
         ok = True
         for g in pool:
-            verdict = decide_poly(g, TargetSpec.parse(name), mode)
+            verdict = decide_poly(g, spec, mode)
             brute = any(
                 check_hom(g, target, f, mode)
                 for f in itertools.product(range(target.n), repeat=g.n))

@@ -3,6 +3,8 @@ import collections
 import sys
 from pathlib import Path
 
+import pytest
+
 import injhom
 
 
@@ -117,3 +119,15 @@ def test_no_dead_private_names():
     paths = sorted(Path(injhom.__file__).parent.rglob("*.py"))
     sources = {path.stem: path.read_text(encoding="utf-8") for path in paths}
     assert _dead_private_names(sources) == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; syntax newer than
+    # that, such as except*, fails to parse at 3.10
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(Path(injhom.__file__).parent.rglob("*.py")) + sorted((root / "demos").glob("*.py"))
+    assert len(paths) >= 16
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -143,6 +143,19 @@ def test_solve_enumerate_and_limit(write, capsys, monkeypatch):
     assert "solutions: 2 (limit reached)" in out
 
 
+def test_each_command_parses_its_target_name_once(write, capsys, monkeypatch):
+    parsed = []
+    parse_name = targets._parse_name
+    monkeypatch.setattr(targets, "_parse_name", lambda text: parsed.append(text) or parse_name(text))
+    path = write("c3.txt", format_edge_list(directed_cycle(3)))
+    for argv in (("decide", path, "C3r", "ios"),
+                 ("solve", path, "C3r", "ios", "--pin", "0=c1", "--pin", "1=c2"),
+                 ("solve", path, "C3r", "ios", "--enumerate")):
+        parsed.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and parsed == ["C3r"], argv
+
+
 @pytest.mark.parametrize("limit", ["0", "-1", "abc"])
 def test_solve_limit_below_one_is_a_usage_error(write, capsys, limit):
     # three isolated vertices have solutions against T3; a limit below one
@@ -286,6 +299,17 @@ def test_reduce_writes_instance_and_provenance(write, capsys, tmp_path):
     prov = Path(out_path + ".prov").read_text()
     assert prov.startswith("edge 0-1:")
     assert "vertex 0:" in prov
+
+
+def test_reduce_of_a_path_holding_a_line_break_decides(write, capsys, tmp_path):
+    # the source path goes into a comment of the written instance; its
+    # line break must not end the comment and start a data line
+    src = write("k4\nx.txt", format_undirected_edge_list(4, complete_graph(4).edges))
+    out_path = str(tmp_path / "inst.txt")
+    code, _, _ = run(capsys, "reduce", "3col-to-ios-c3r", src, "--out", out_path)
+    assert code == 0
+    code, out, err = run(capsys, "decide", out_path, "C3r", "ios")
+    assert (code, out.splitlines()[0], err) == (1, "NO", "")
 
 
 def test_reduce_um_kind(write, capsys, tmp_path):

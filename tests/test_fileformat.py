@@ -51,6 +51,25 @@ def test_format_includes_comments():
     assert lines[1] == "#"
 
 
+# every line break str.splitlines splits on, and so the parser too
+_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_comments_with_line_breaks_round_trip():
+    # a comment's line break starts a new '#' line, never a data line
+    comments = [f"before{b}after" for b in _BREAKS] + [f"{b}x.txt{b}" for b in _BREAKS] + ["trailing\n"]
+    g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)], reflexive=True)
+    text = format_edge_list(g, comments=comments)
+    assert parse_edge_list(text) == g
+    body = text.splitlines()
+    assert all(line.startswith("#") for line in body[:-4]) and body[-4] == "4 3 reflexive"
+    assert fileformat._strict_parse(text, True) is not None
+    edges = {(0, 1), (1, 2)}
+    text = format_undirected_edge_list(3, edges, comments=comments)
+    assert parse_undirected_edge_list(text) == (3, frozenset(edges))
+    assert fileformat._strict_parse(text, False) is not None
+
+
 def test_error_line_numbers():
     with pytest.raises(EdgeListError) as exc:
         parse_edge_list("2 1\n0 2\n")

@@ -1,6 +1,7 @@
 import pytest
 
-from injhom.graphs import OrientedGraph, is_tournament, transitive_tournament
+from injhom.graphs import Mode, OrientedGraph, directed_cycle, directed_path, is_tournament, transitive_tournament
+from injhom.poly import decide_poly
 from injhom.targets import (
     U_MAX,
     TargetSpec,
@@ -64,6 +65,27 @@ def test_labels():
     assert target_labels("U5") == ["c1", "c2", "c3", "t0", "t1"]
     spec = TargetSpec.from_graph(transitive_tournament(2))
     assert target_labels(spec) == ["v0", "v1"]
+
+
+def test_a_target_reads_alike_as_a_name_a_spec_or_a_graph():
+    # every function that takes a target reads it through TargetSpec.of;
+    # a custom tournament reads as its spec does, with labels v0..
+    inputs = [directed_path(4), directed_cycle(6)]
+
+    def readings(target):
+        labels = target_labels(target)
+        return (build_named(target), labels, [label_index(target, label) for label in labels],
+                [decide_poly(g, target, mode) for g in inputs for mode in (Mode.IOS, Mode.IOT)])
+
+    for name in ("C3", "T3r", "U5"):
+        spec = TargetSpec.parse(name)
+        graph = OrientedGraph(spec.graph.n, spec.graph.arcs, spec.graph.reflexive)  # equal, not the same
+        named, custom = readings(spec), readings(graph)
+        assert readings(name) == named
+        assert readings(TargetSpec.from_graph(graph)) == custom
+        assert custom[0] is graph and custom[0] == named[0]
+        assert custom[1] == [f"v{i}" for i in range(graph.n)]
+        assert [r.satisfiable for r in custom[3]] == [r.satisfiable for r in named[3]]
 
 
 def test_label_index():
