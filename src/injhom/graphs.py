@@ -112,13 +112,17 @@ class OrientedGraph:
 
     @cached_property
     def _directed_nbrs(self) -> tuple:
-        """Sorted out- and in-neighbour tuples per vertex, both from one
-        sort of the arcs."""
+        """Sorted out- and in-neighbour tuples per vertex: the arcs go to
+        their rows in set order, and each short row is sorted alone."""
         out = [[] for _ in range(self.n)]
         inn = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
+        for u, v in self.arcs:
             out[u].append(v)
             inn[v].append(u)
+        for row in out:
+            row.sort()
+        for row in inn:
+            row.sort()
         return tuple(map(tuple, out)), tuple(map(tuple, inn))
 
     @cached_property

@@ -163,9 +163,13 @@ class _Csp:
     The graph side holds, for each vertex, its partners (the other members
     of the protected neighbourhoods it belongs to, repeats kept), those of
     the neighbourhoods that have three or more members, each as the tuple
-    of its other members, and its constraint neighbours (arc neighbours and
-    partners, once each).  start holds the start domains, pins applied;
-    an empty one is the only NO that root propagation does not find."""
+    of its other members, and its constraint neighbours: its out- and
+    in-neighbours and its partners joined as they come, repeats kept.
+    The frontier asks such a list only which vertices it holds, and a
+    split's parts are whole components of at most _PART_CAP vertices in
+    whatever order its searches walk them, so the lists need no set or
+    sort.  start holds the start domains, pins applied; an empty one is
+    the only NO that root propagation does not find."""
 
     def __init__(self, g: OrientedGraph, h: OrientedGraph, mode: Mode, pins=None):
         self.g = g
@@ -189,7 +193,7 @@ class _Csp:
         self.nbhds_at = nbhds_at
         self.partners = partners
         self.constraint_nbrs = [
-            sorted({*outs, *ins, *near}) if near else sorted(outs + ins)
+            outs + ins + tuple(near)
             for outs, ins, near in zip(g.out_nbrs, g.in_nbrs, partners)
         ]
         self.start = target.start(g, mode)

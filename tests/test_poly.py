@@ -480,9 +480,9 @@ def test_streamed_dp_matches_whole_walk_reference():
 
 def test_decide_matches_the_search_on_medium_random_graphs():
     # the decide route, decide_poly or else solve, answers every named
-    # target family and a custom tournament as the search does, on 10 to
-    # 40 vertices: half paths and cycles, which the DP takes, half sparse
-    # graphs that branch, a tenth of all reflexive
+    # target family and a custom tournament as the search does, in every
+    # mode, on 10 to 40 vertices: half paths and cycles, which the DP
+    # takes, half sparse graphs that branch, a tenth of all reflexive
     rng = random.Random(2727)
     custom = TargetSpec.from_graph(OrientedGraph(5, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (2, 3),
                                                      (4, 0), (1, 4), (4, 2), (3, 4)]))
@@ -498,7 +498,7 @@ def test_decide_matches_the_search_on_medium_random_graphs():
             g = OrientedGraph(g.n, g.arcs, reflexive=True)
         for spec in specs:
             h = spec.build()
-            for mode in (Mode.IOS, Mode.IOT):
+            for mode in (Mode.PLAIN, Mode.IOS, Mode.IOT):
                 want = solve(g, h, mode)
                 got = decide_poly(g, spec, mode) or want
                 answers[got is not want, want.satisfiable] += 1

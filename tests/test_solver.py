@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -33,6 +34,7 @@ from injhom.reductions import (
     reduce_3edge_to_t3r,
     reduce_3edge_to_u4,
     reduce_3edge_to_um,
+    with_random_edge_order,
 )
 from injhom.solver import _Csp, _MaskTable, _neighbourhoods, _Target, check_hom, enumerate_homs, solve
 from injhom.targets import TargetSpec, build_named, u_tournament
@@ -177,12 +179,86 @@ def test_graph_side_matches_per_pair_derivation():
         for mode in MODES:
             assert _protected_pairs(g, mode) == _ref_protected_pairs(g, mode), (trial, mode)
             csp = _Csp(g, C3r, mode)
-            assert csp.constraint_nbrs == _ref_graph_side(g, mode)[1], (trial, mode)
+            # the search asks of a constraint-neighbour list only which
+            # vertices it holds
+            assert list(map(set, csp.constraint_nbrs)) == list(map(set, _ref_graph_side(g, mode)[1])), (trial, mode)
             others_at = _ref_others_at(g, mode)
             # the naked-pair rule walks the neighbourhoods of three or more
             # members, the singleton rule the partners of all of them
             assert _sorted_nbhds_at(csp) == [[o for _, o in e if len(o) > 1] for e in others_at], (trial, mode)
             assert [sorted(p) for p in csp.partners] == [sorted(w for _, o in e for w in o) for e in others_at], (trial, mode)
+
+
+def _shuffled_and_doubled(csp, rng):
+    """csp with every list it reads, its graph's neighbour lists
+    included, shuffled and holding each entry twice."""
+    def mixed(items):
+        items = [*items, *items]
+        rng.shuffle(items)
+        return items
+
+    g = csp.g
+    csp.g = OrientedGraph._checked(g.n, g.arcs, g.reflexive)
+    csp.g.__dict__.update(out_nbrs=list(map(mixed, g.out_nbrs)), in_nbrs=list(map(mixed, g.in_nbrs)))
+    csp.constraint_nbrs = list(map(mixed, csp.constraint_nbrs))
+    csp.partners = list(map(mixed, csp.partners))
+    csp.nbhds_at = [mixed(map(mixed, entries)) for entries in csp.nbhds_at]
+    return csp
+
+
+class _OutOfNodes(Exception):
+    pass
+
+
+def _first_maps(csp, limit=20, most_nodes=2_000):
+    """The first limit maps csp enumerates, and the nodes taken.  An
+    enumeration does not split, so it can take exponential time on an
+    input without a solution; past most_nodes nodes it stops there."""
+    propagate = csp._propagate
+
+    def bounded(*args):
+        if csp.nodes > most_nodes:
+            raise _OutOfNodes
+        return propagate(*args)
+
+    csp._propagate = bounded
+    maps = []
+    try:
+        for f in csp.solutions():
+            maps.append(f)
+            if len(maps) == limit:
+                break
+    except _OutOfNodes:
+        pass
+    return maps, csp.nodes
+
+
+def test_answers_do_not_depend_on_the_order_or_repeats_of_the_lists():
+    # propagation runs to a fixpoint and the frontier and the split read
+    # their lists as sets of vertices, so no verdict, node count, witness
+    # or enumerated map moves when every list is shuffled and doubled
+    rng = random.Random(3232)
+    targets = [build_named(name) for name in ("C3r", "T3r", "U4", "U5r", "U6")]
+    verdicts = collections.Counter()
+    for trial in range(150):
+        n = rng.randint(8, 60)
+        g = random_oriented_graph(n, rng, arc_chance=rng.uniform(0.5, 2) / n)
+        if rng.random() < 0.1:
+            g = OrientedGraph(g.n, g.arcs, reflexive=True)
+        for h in targets:
+            for mode in MODES:
+                want = solve(g, h, mode)
+                csp = _shuffled_and_doubled(_Csp(g, h, mode), rng)
+                first = next(csp.solutions(first_only=True), None)
+                case = (trial, g, h, mode)
+                assert first == (want.witness.map if want.satisfiable else None), case
+                assert csp.nodes == want.nodes_explored, case
+                # enumerate_homs is _Csp(g, h, mode).solutions()
+                got = _first_maps(_shuffled_and_doubled(_Csp(g, h, mode), rng))
+                assert got == _first_maps(_Csp(g, h, mode)), case
+                verdicts[mode, want.satisfiable, want.nodes_explored > 0] += 1
+    # YES and NO each came after a search under ios and iot
+    assert min(verdicts[mode, sat, True] for mode in MODES[1:] for sat in (True, False)) >= 5, verdicts
 
 
 def _propagated(g, h, mode, dom, changed):
@@ -633,14 +709,57 @@ def test_paper_graph_instances_take_no_more_nodes():
             (reduce_3edge_to_u4(src), edge_colourable),
             (reduce_3edge_to_um(src, 6), edge_colourable),
         )
-        for (inst, want), most in zip(cases, PAPER_GRAPH_NODES[name]):
-            h = build_named(inst.target)
-            res = solve(inst.graph, h, inst.mode)
-            case = (name, inst.target, inst.mode, res.nodes_explored)
-            assert res.satisfiable == want, case
-            assert res.nodes_explored <= most, case
-            if want:
-                assert check_hom(inst.graph, h, res.witness.map, inst.mode), case
+        assert_no_more_nodes(cases, PAPER_GRAPH_NODES[name], name)
+
+
+def assert_no_more_nodes(cases, counts, *tag):
+    """Each (instance, verdict of its source) in cases gets that verdict,
+    a witness that checks, and no more nodes than its count."""
+    for (inst, want), most in zip(cases, counts):
+        h = build_named(inst.target)
+        res = solve(inst.graph, h, inst.mode)
+        case = (*tag, inst.target, inst.mode, res.nodes_explored)
+        assert res.satisfiable == want, case
+        assert res.nodes_explored <= most, case
+        if want:
+            assert check_hom(inst.graph, h, res.witness.map, inst.mode), case
+
+
+# the nodes of each paper graph's ios C3r, iot C3r, U4 and U6 instances
+# under three seeded incident-edge orders, then three seeded vertex
+# relabellings, as the benchmark draws its relabelled sources
+RELABELLED_GRAPH_NODES = {
+    "K4": ((33, 159, 2, 6),) * 6,
+    "K33": ((18, 12, 3, 9),) * 6,
+    "prism": ((28, 33, 2, 8),) * 3 + ((28, 30, 2, 8), (22, 18, 2, 8), (28, 30, 2, 8)),
+    "bridged": ((36, 26, 3, 4),) * 3 + ((34, 26, 3, 4), (35, 29, 1, 2), (36, 26, 3, 4)),
+}
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_relabelled_paper_graph_instances_take_no_more_nodes():
+    # the ratchet above on other labellings of the sources; no incident
+    # order seen so far moves a count, a vertex relabelling moves several
+    rng = random.Random(3201)
+    graphs = {"K4": complete_graph(4), "K33": complete_bipartite(3, 3), "prism": prism_graph(),
+              "bridged": bridged_cubic_graph()}
+    for name, src in graphs.items():
+        colourable, edge_colourable = oracle_3col(src), oracle_3edge(src)
+        relabellings = [with_random_edge_order] * 3 + [_relabelled] * 3
+        for order, (relabel, counts) in enumerate(zip(relabellings, RELABELLED_GRAPH_NODES[name])):
+            g = relabel(src, rng)
+            cases = (
+                (reduce_3col_to_ios_c3r(g), colourable),
+                (reduce_3col_to_iot_c3r(g), colourable),
+                (reduce_3edge_to_u4(g), edge_colourable),
+                (reduce_3edge_to_um(g, 6), edge_colourable),
+            )
+            assert_no_more_nodes(cases, counts, name, order)
 
 
 def test_c3r_colouring_instance_decided_by_parts():
